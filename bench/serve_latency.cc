@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/math_util.h"
 #include "common/prng.h"
 #include "dse/search.h"
 #include "nn/builders.h"
@@ -99,13 +100,6 @@ std::vector<double> MakeSchedule(const std::string& pattern, double rate,
     }
   }
   return arrivals;
-}
-
-double Percentile(const std::vector<double>& sorted_ms, double q) {
-  if (sorted_ms.empty()) return 0;
-  const double pos = q * static_cast<double>(sorted_ms.size() - 1);
-  const std::size_t idx = static_cast<std::size_t>(std::llround(pos));
-  return sorted_ms[std::min(idx, sorted_ms.size() - 1)];
 }
 
 struct CellResult {

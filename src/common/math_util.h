@@ -1,8 +1,11 @@
-// Small integer-math helpers.
+// Small math helpers.
 #ifndef HDNN_COMMON_MATH_UTIL_H_
 #define HDNN_COMMON_MATH_UTIL_H_
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "common/check.h"
 
@@ -40,6 +43,18 @@ constexpr int Log2Floor(std::int64_t v) {
     ++r;
   }
   return r;
+}
+
+/// Nearest-rank percentile of an ascending-sorted sample (q in [0,1]): the
+/// ceil(q * n)-th smallest value, the smallest for q = 0, and 0 for an
+/// empty sample.
+inline double Percentile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0;
+  const auto n = static_cast<double>(sorted.size());
+  auto rank = static_cast<std::size_t>(std::ceil(q * n));
+  if (rank > 0) --rank;
+  if (rank >= sorted.size()) rank = sorted.size() - 1;
+  return sorted[rank];
 }
 
 }  // namespace hdnn

@@ -2,26 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <queue>
 #include <utility>
 
 #include "common/check.h"
+#include "common/math_util.h"
 #include "common/prng.h"
 #include "platform/power_model.h"
 
 namespace hdnn {
 namespace {
-
-/// Nearest-rank percentile of an ascending-sorted sample (q in [0,1]).
-double Percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0;
-  const auto n = static_cast<double>(sorted.size());
-  auto rank = static_cast<std::size_t>(std::ceil(q * n));
-  if (rank > 0) --rank;
-  if (rank >= sorted.size()) rank = sorted.size() - 1;
-  return sorted[rank];
-}
 
 std::vector<double> ClassWeights(const FleetOptions& options,
                                  std::size_t num_classes) {
@@ -35,22 +27,47 @@ std::vector<double> ClassWeights(const FleetOptions& options,
   return options.class_weights;
 }
 
-/// The self-healing event loop (DESIGN.md Sec. 12). Engaged when the
-/// caller passes a FaultPlan (even an empty one) or enables hedging; the
-/// plain path stays on the legacy loop below, whose behavior is pinned by
-/// hand-computed tests. With an empty plan and hedging off this loop must
-/// reproduce the legacy statistics bit for bit — the chaos bench
-/// self-checks that — which is why every floating-point expression the two
-/// share (load estimates, batch finish times, busy accounting, horizon) is
-/// written identically.
-///
-/// Beyond the legacy dispatch/arrival events, the loop schedules:
-///   * per-item completion events (a min-heap; results commit at finish
-///     time, so a crash can lose in-flight work),
+}  // namespace
+
+std::vector<FleetTraceArrival> MakePoissonTrace(
+    const std::vector<LatencyClass>& classes, double duration_seconds,
+    std::uint64_t seed) {
+  HDNN_CHECK(duration_seconds > 0)
+      << "trace duration must be positive, got " << duration_seconds;
+  std::vector<FleetTraceArrival> trace;
+  const Prng root(seed);
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    const double rate = classes[c].offered_qps;
+    if (rate <= 0) continue;
+    Prng stream = root.Fork(static_cast<std::uint64_t>(c));
+    double t = 0;
+    for (;;) {
+      t += -std::log1p(-stream.NextDouble()) / rate;
+      if (t >= duration_seconds) break;
+      trace.push_back({t, static_cast<int>(c)});
+    }
+  }
+  std::stable_sort(trace.begin(), trace.end(),
+                   [](const FleetTraceArrival& a, const FleetTraceArrival& b) {
+                     if (a.at_seconds != b.at_seconds)
+                       return a.at_seconds < b.at_seconds;
+                     return a.class_index < b.class_index;
+                   });
+  return trace;
+}
+
+/// The virtual-time event loop (DESIGN.md Sec. 12). Events, earliest
+/// first; on equal times in this order:
+///   * item completions (results commit at finish time, so a crash can
+///     lose in-flight work; ties to the lowest shard, then dispatch order),
 ///   * injected fault events from the plan's materialized schedule,
 ///   * HealthTracker deadlines (detection fires without traffic),
+///   * batch dispatches (ties to the lowest shard),
+///   * arrivals,
 ///   * client retries with backoff after a lost or CRC-rejected result.
-FleetSimResult SimulateFleetChaos(
+/// A replay with no plan and no hedging is the same loop with an empty
+/// schedule and a disarmed tracker.
+FleetSimResult SimulateFleet(
     const std::vector<BoardCandidate>& candidates,
     const std::vector<int>& shard_candidates,
     const std::vector<LatencyClass>& classes,
@@ -74,9 +91,12 @@ FleetSimResult SimulateFleetChaos(
              options.replan_capacity_derate <= 1.0)
       << "replan_capacity_derate must be in (0,1], got "
       << options.replan_capacity_derate;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::size_t num_shards = shard_candidates.size();
   const std::size_t num_classes = classes.size();
   const std::vector<double> weights = ClassWeights(options, num_classes);
+  const bool hedging = options.hedge_slack_fraction > 0;
+  const double tail_start = options.tail_window_start_seconds;
 
   const std::vector<InjectedFault> schedule =
       faults != nullptr ? faults->Materialize() : std::vector<InjectedFault>{};
@@ -85,33 +105,49 @@ FleetSimResult SimulateFleetChaos(
         << "fault targets shard " << f.event.shard << " but the fleet has "
         << num_shards;
   }
+  // Without a plan or hedging the caller asked for no self-healing: the
+  // tracker is disarmed, so overload alone cannot mask a shard.
+  HealthOptions health = options.health;
+  if (faults == nullptr && !hedging) {
+    health.heartbeat_timeout_seconds = kInf;
+    health.down_after_seconds = kInf;
+    health.max_consecutive_misses = 0;
+  }
 
   struct DerateWindow {
     double from = 0;
     double until = 0;
     double derate = 1.0;
   };
-  struct Inflight {
-    int req = 0;
+  /// One dispatched item on an NI instance. An instance runs its batches
+  /// back to back, so its items finish in queue order.
+  struct Running {
     double finish = 0;
+    int req = 0;
     double item_s = 0;
+    std::int64_t seq = 0;  ///< dispatch order across the fleet
   };
   struct ShardSim {
     int cand = 0;
-    std::vector<double> worker_free;         // per NI instance
-    std::vector<DeadlineQueue<int>> queues;  // per class
+    std::vector<double> worker_free;           // per NI instance
+    std::vector<std::deque<Running>> running;  // per NI instance
+    std::vector<DeadlineQueue<int>> queues;    // per class
     std::vector<double> credits;
     std::size_t scan_start = 0;
     std::int64_t items = 0;
     std::int64_t batches = 0;
     double busy_seconds = 0;
-    // Chaos state.
+    // Next event times, kept current by refresh(). next_dispatch is the
+    // earliest dispatch before clamping to `now`; next_finish is the
+    // earliest completion, on instance next_finish_w.
+    double next_dispatch = kInf;
+    double next_finish = kInf;
+    std::size_t next_finish_w = 0;
+    // Fault state.
     bool alive = true;
-    int epoch = 0;  ///< bumped on crash; stale completion events are void
     double stalled_until = 0;
     std::vector<DerateWindow> derates;
     std::int64_t corrupt_pending = 0;
-    std::vector<Inflight> inflight;
     std::vector<int> lost;  ///< in-flight requests a crash swallowed
   };
   std::vector<ShardSim> shards(num_shards);
@@ -125,7 +161,9 @@ FleetSimResult SimulateFleetChaos(
     ShardSim& sim = shards[s];
     sim.cand = cand;
     const int ni = candidates[static_cast<std::size_t>(cand)].config.ni;
+    HDNN_CHECK(ni >= 1) << "shard " << s << " has NI = " << ni;
     sim.worker_free.assign(static_cast<std::size_t>(ni), 0.0);
+    sim.running.resize(static_cast<std::size_t>(ni));
     sim.credits.assign(num_classes, 0.0);
     sim.queues.reserve(num_classes);
     for (std::size_t c = 0; c < num_classes; ++c) {
@@ -137,6 +175,7 @@ FleetSimResult SimulateFleetChaos(
     return device_seconds[static_cast<std::size_t>(sim.cand)]
                          [static_cast<std::size_t>(model)];
   };
+  // Static feasibility: one item's device time fits the class deadline.
   std::vector<std::vector<bool>> feasible_static(
       num_shards, std::vector<bool>(num_classes, false));
   for (std::size_t s = 0; s < num_shards; ++s) {
@@ -147,21 +186,17 @@ FleetSimResult SimulateFleetChaos(
   }
 
   Router router(static_cast<int>(num_shards), options.router);
-  HealthTracker tracker(static_cast<int>(num_shards), options.health);
+  HealthTracker tracker(static_cast<int>(num_shards), health);
   FleetSimResult result;
   result.decisions.reserve(arrivals.size());
   result.classes.assign(num_classes, {});
   std::vector<std::vector<double>> latencies(num_classes);
 
-  std::vector<double> arrival_time(arrivals.size());
-  std::vector<int> arrival_class(arrivals.size());
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    arrival_time[i] = arrivals[i].at_seconds;
-    arrival_class[i] = arrivals[i].class_index;
-    HDNN_CHECK(arrival_class[i] >= 0 &&
-               arrival_class[i] < static_cast<int>(num_classes))
-        << "arrival class " << arrival_class[i] << " out of range";
-    HDNN_CHECK(i == 0 || arrival_time[i] >= arrival_time[i - 1])
+    HDNN_CHECK(arrivals[i].class_index >= 0 &&
+               arrivals[i].class_index < static_cast<int>(num_classes))
+        << "arrival class " << arrivals[i].class_index << " out of range";
+    HDNN_CHECK(i == 0 || arrivals[i].at_seconds >= arrivals[i - 1].at_seconds)
         << "trace arrivals must be time-ordered";
   }
 
@@ -169,9 +204,6 @@ FleetSimResult SimulateFleetChaos(
   // EXACTLY one of ok/rejected/expired/unroutable/failed, no matter how
   // many copies (hedges) or attempts (retries) it spawns.
   struct Req {
-    double arrival_s = 0;
-    double deadline_abs = kNoDeadline;
-    int cls = 0;
     int attempts = 0;  ///< routing attempts (initial + retries)
     int copies = 0;    ///< live copies: queued or in flight
     bool done = false;
@@ -180,24 +212,16 @@ FleetSimResult SimulateFleetChaos(
     bool any_faulted = false;  ///< a copy was lost or CRC-rejected
   };
   std::vector<Req> reqs(arrivals.size());
-
-  struct CompEvent {
-    double finish = 0;
-    std::size_t shard = 0;
-    int req = 0;
-    int cls = 0;
-    double item_s = 0;
-    int epoch = 0;
-    std::int64_t seq = 0;
+  auto class_of = [&](int i) {
+    return static_cast<std::size_t>(
+        arrivals[static_cast<std::size_t>(i)].class_index);
   };
-  struct CompLater {
-    bool operator()(const CompEvent& a, const CompEvent& b) const {
-      if (a.finish != b.finish) return a.finish > b.finish;
-      if (a.shard != b.shard) return a.shard > b.shard;
-      return a.seq > b.seq;
-    }
+  auto deadline_of = [&](int i) {
+    const double d = classes[class_of(i)].deadline_seconds;
+    return d == kNoDeadline
+               ? kNoDeadline
+               : arrivals[static_cast<std::size_t>(i)].at_seconds + d;
   };
-  std::priority_queue<CompEvent, std::vector<CompEvent>, CompLater> comps;
 
   struct RetryEvent {
     double at = 0;
@@ -212,7 +236,6 @@ FleetSimResult SimulateFleetChaos(
   };
   std::priority_queue<RetryEvent, std::vector<RetryEvent>, RetryLater> retries;
 
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   std::size_t next_arrival = 0;
   std::size_t fault_idx = 0;
   double now = 0;
@@ -222,20 +245,48 @@ FleetSimResult SimulateFleetChaos(
   std::vector<double> admit_fraction(num_classes, 1.0);
   std::vector<double> admit_credit(num_classes, 0.0);
   std::vector<DeadlineQueue<int>::Entry> scratch;
-  const bool hedging = options.hedge_slack_fraction > 0;
-  const double tail_start = options.tail_window_start_seconds;
+  std::vector<double> load(num_shards);
+  std::vector<bool> mask_static(num_shards);
+  std::vector<bool> mask_dyn(num_shards);
+  std::vector<bool> ready(num_classes);
 
-  auto min_free = [](const ShardSim& sim) {
-    return *std::min_element(sim.worker_free.begin(), sim.worker_free.end());
-  };
-  auto shard_is_busy = [](const ShardSim& sim) {
-    if (!sim.inflight.empty()) return true;
-    for (const auto& q : sim.queues)
-      if (!q.empty()) return true;
-    return false;
+  auto refresh = [&](std::size_t s) {
+    ShardSim& sim = shards[s];
+    sim.next_dispatch = kInf;
+    sim.next_finish = kInf;
+    if (!sim.alive) return;
+    double ready_t = kInf;
+    for (const auto& q : sim.queues) {
+      if (q.empty()) continue;
+      // A full batch is ready at any `now`.
+      ready_t = std::min(ready_t, q.size() >= q.max_batch()
+                                      ? -kInf
+                                      : q.NextTriggerTime());
+    }
+    if (ready_t < kInf) {
+      const double min_free =
+          *std::min_element(sim.worker_free.begin(), sim.worker_free.end());
+      sim.next_dispatch = std::max({ready_t, min_free, sim.stalled_until});
+    }
+    std::int64_t first_seq = 0;
+    for (std::size_t w = 0; w < sim.running.size(); ++w) {
+      if (sim.running[w].empty()) continue;
+      const Running& item = sim.running[w].front();
+      if (item.finish < sim.next_finish ||
+          (item.finish == sim.next_finish && item.seq < first_seq)) {
+        sim.next_finish = item.finish;
+        sim.next_finish_w = w;
+        first_seq = item.seq;
+      }
+    }
   };
   auto update_busy = [&](std::size_t s) {
-    tracker.SetBusy(static_cast<int>(s), shard_is_busy(shards[s]), now);
+    refresh(s);
+    const ShardSim& sim = shards[s];
+    bool busy = false;
+    for (const auto& r : sim.running) busy = busy || !r.empty();
+    for (const auto& q : sim.queues) busy = busy || !q.empty();
+    tracker.SetBusy(static_cast<int>(s), busy, now);
   };
 
   // Terminal bookkeeping. finalize() runs when a request has no live
@@ -246,7 +297,7 @@ FleetSimResult SimulateFleetChaos(
     if (r.done || r.counted || r.copies > 0) return;
     if (r.any_faulted && r.attempts < 1 + options.max_retries) {
       const double t = now + options.retry_backoff_seconds;
-      if (r.deadline_abs == kNoDeadline || t < r.deadline_abs) {
+      if (t < deadline_of(i)) {
         retries.push({t, i, seq++});
         ++result.chaos.retries;
         return;
@@ -254,7 +305,7 @@ FleetSimResult SimulateFleetChaos(
     }
     r.counted = true;
     --open;
-    FleetClassStats& cs = result.classes[static_cast<std::size_t>(r.cls)];
+    FleetClassStats& cs = result.classes[class_of(i)];
     if (r.any_faulted) {
       ++cs.failed;
     } else if (r.any_expired) {
@@ -277,7 +328,7 @@ FleetSimResult SimulateFleetChaos(
     DeadlineQueue<int>::Entry entry;
     entry.value = i;
     entry.enqueue_s = now;
-    entry.deadline_s = r.deadline_abs;
+    entry.deadline_s = deadline_of(i);
     scratch.clear();
     DeadlineQueue<int>::Entry evicted;
     const AdmitResult admit = sim.queues[c].Push(entry, now, &evicted, scratch);
@@ -295,18 +346,15 @@ FleetSimResult SimulateFleetChaos(
     return true;
   };
 
-  // Routing shared by initial arrivals and retries: the legacy
-  // deadline-aware least-loaded policy, with unhealthy shards masked and
-  // (optionally) a hedge copy on the router's backup shard when the
-  // primary's predicted completion eats too much of the deadline.
+  // Routing shared by initial arrivals and retries: deadline-aware
+  // least-loaded over the healthy shards, plus (optionally) a hedge copy
+  // on the router's backup shard when the primary's predicted completion
+  // eats too much of the deadline.
   auto route_request = [&](int i, bool initial) {
     Req& r = reqs[static_cast<std::size_t>(i)];
     ++r.attempts;
-    const auto c = static_cast<std::size_t>(r.cls);
+    const auto c = class_of(i);
     const LatencyClass& cls = classes[c];
-    std::vector<double> load(num_shards, 0);
-    std::vector<bool> mask_static(num_shards, false);
-    std::vector<bool> mask_dyn(num_shards, false);
     bool any_dyn = false;
     for (std::size_t s = 0; s < num_shards; ++s) {
       const ShardSim& sim = shards[s];
@@ -316,14 +364,16 @@ FleetSimResult SimulateFleetChaos(
         backlog += sim.queues[c2].size() * dev(sim, classes[c2].model_index);
       }
       load[s] = backlog / static_cast<double>(sim.worker_free.size());
-      if (!feasible_static[s][c]) continue;
-      if (!tracker.routable(static_cast<int>(s))) continue;
-      mask_static[s] = true;
-      if (load[s] + dev(sim, cls.model_index) <= cls.deadline_seconds) {
-        mask_dyn[s] = true;
-        any_dyn = true;
-      }
+      mask_static[s] = feasible_static[s][c] &&
+                       tracker.routable(static_cast<int>(s));
+      mask_dyn[s] = mask_static[s] &&
+                    load[s] + dev(sim, cls.model_index) <= cls.deadline_seconds;
+      any_dyn = any_dyn || mask_dyn[s];
     }
+    // Prefer shards whose backlog still leaves deadline slack; when none
+    // does, fall back to any feasible shard and let admission shed. An
+    // all-false mask returns -1 but still consumes the decision slot,
+    // keeping decision k pinned to arrival k.
     const RouteDecision rd =
         router.RoutePair(load, any_dyn ? mask_dyn : mask_static);
     if (initial) result.decisions.push_back(rd.primary);
@@ -342,8 +392,7 @@ FleetSimResult SimulateFleetChaos(
     const auto p = static_cast<std::size_t>(rd.primary);
     admit_to(p, c, i);
     if (hedging && rd.hedge >= 0 && cls.deadline_seconds != kNoDeadline) {
-      const double remaining =
-          r.deadline_abs == kNoDeadline ? kNoDeadline : r.deadline_abs - now;
+      const double remaining = deadline_of(i) - now;
       const double predicted = load[p] + dev(shards[p], cls.model_index);
       if (predicted > (1.0 - options.hedge_slack_fraction) * remaining) {
         if (admit_to(static_cast<std::size_t>(rd.hedge), c, i)) {
@@ -354,23 +403,38 @@ FleetSimResult SimulateFleetChaos(
     if (r.copies == 0 && !r.done) finalize(i);
   };
 
-  // Permanent loss of shard s: kill the dispatcher, void in-flight work,
-  // hand everything the shard still holds back to the retry layer, and
-  // re-plan admission over the survivors.
+  // Crash of shard s at `now`: its dispatcher stops and every running item
+  // is lost, in dispatch order, with its unrun time refunded. Queued
+  // entries stay until the fleet learns of the loss (on_shard_down).
+  auto kill = [&](std::size_t s) {
+    ShardSim& sim = shards[s];
+    if (!sim.alive) return;
+    sim.alive = false;
+    for (auto& wf : sim.worker_free) wf = std::min(wf, now);
+    std::vector<Running> lost;
+    for (auto& fifo : sim.running) {
+      lost.insert(lost.end(), fifo.begin(), fifo.end());
+      fifo.clear();
+    }
+    std::sort(lost.begin(), lost.end(),
+              [](const Running& a, const Running& b) { return a.seq < b.seq; });
+    for (const Running& item : lost) {
+      sim.busy_seconds -=
+          std::max(0.0, std::min(item.item_s, item.finish - now));
+      sim.lost.push_back(item.req);
+    }
+    refresh(s);
+  };
+
+  // Permanent loss of shard s: kill it, hand everything it still holds
+  // back to the retry layer, and re-plan admission over the survivors.
   auto on_shard_down = [&](std::size_t s) {
     known_down[s] = 1;
     ++result.chaos.shards_down;
     if (result.chaos.first_down_seconds < 0)
       result.chaos.first_down_seconds = now;
+    kill(s);
     ShardSim& sim = shards[s];
-    sim.alive = false;
-    ++sim.epoch;
-    for (auto& wf : sim.worker_free) wf = std::min(wf, now);
-    for (const auto& fl : sim.inflight) {
-      sim.busy_seconds -= std::max(0.0, std::min(fl.item_s, fl.finish - now));
-      sim.lost.push_back(fl.req);
-    }
-    sim.inflight.clear();
     for (std::size_t c2 = 0; c2 < num_classes; ++c2) {
       while (!sim.queues[c2].empty()) {
         for (auto& e : sim.queues[c2].TakeBatch()) {
@@ -403,46 +467,36 @@ FleetSimResult SimulateFleetChaos(
   };
 
   for (;;) {
-    // Lazily discard completion events voided by a crash (their loss was
-    // accounted at crash time).
-    while (!comps.empty() &&
-           comps.top().epoch != shards[comps.top().shard].epoch) {
-      comps.pop();
+    double comp_t = kInf;
+    std::size_t comp_s = 0;
+    double dispatch_t = kInf;
+    std::size_t dispatch_s = 0;
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      const ShardSim& sim = shards[s];
+      if (sim.next_finish < comp_t) {
+        comp_t = sim.next_finish;
+        comp_s = s;
+      }
+      const double t = std::max(sim.next_dispatch, now);
+      if (t < dispatch_t) {
+        dispatch_t = t;
+        dispatch_s = s;
+      }
     }
-    const double comp_t = comps.empty() ? kInf : comps.top().finish;
     const double fault_t = fault_idx < schedule.size()
                                ? schedule[fault_idx].event.at_seconds
                                : kInf;
     const double health_t = tracker.NextDeadline();
-    double dispatch_t = kInf;
-    std::size_t dispatch_s = 0;
-    bool have_dispatch = false;
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      ShardSim& sim = shards[s];
-      if (!sim.alive) continue;
-      const double mf = min_free(sim);
-      for (std::size_t c = 0; c < num_classes; ++c) {
-        const DeadlineQueue<int>& q = sim.queues[c];
-        if (q.empty()) continue;
-        const double ready_t =
-            q.size() >= q.max_batch() ? now : q.NextTriggerTime();
-        const double t = std::max({ready_t, mf, now, sim.stalled_until});
-        if (t < dispatch_t) {
-          dispatch_t = t;
-          dispatch_s = s;
-          have_dispatch = true;
-        }
-      }
-    }
     const double arrival_t =
-        next_arrival < arrivals.size() ? arrival_time[next_arrival] : kInf;
+        next_arrival < arrivals.size() ? arrivals[next_arrival].at_seconds
+                                       : kInf;
     const double retry_t = retries.empty() ? kInf : retries.top().at;
 
     const double best = std::min(
         {comp_t, fault_t, health_t, dispatch_t, arrival_t, retry_t});
     if (best == kInf) {
       HDNN_CHECK(open == 0)
-          << "chaos simulation deadlocked with " << open
+          << "fleet simulation deadlocked with " << open
           << " unresolved requests and no pending event";
       break;
     }
@@ -450,82 +504,68 @@ FleetSimResult SimulateFleetChaos(
     if (comp_t <= best) {
       // Commit one completed item. Results materialize here, not at
       // dispatch — that is what a crash can take away.
-      const CompEvent ev = comps.top();
-      comps.pop();
-      now = ev.finish;
-      ShardSim& sim = shards[ev.shard];
-      for (std::size_t k = 0; k < sim.inflight.size(); ++k) {
-        if (sim.inflight[k].req == ev.req &&
-            sim.inflight[k].finish == ev.finish) {
-          sim.inflight.erase(sim.inflight.begin() +
-                             static_cast<std::ptrdiff_t>(k));
-          break;
-        }
-      }
+      ShardSim& sim = shards[comp_s];
+      std::deque<Running>& fifo = sim.running[sim.next_finish_w];
+      const Running item = fifo.front();
+      fifo.pop_front();
+      now = item.finish;
       ++sim.items;
       bool corrupted = false;
       if (sim.corrupt_pending > 0) {
         --sim.corrupt_pending;
         corrupted = true;
       }
-      Req& r = reqs[static_cast<std::size_t>(ev.req)];
+      Req& r = reqs[static_cast<std::size_t>(item.req)];
       if (r.done) {
         // The hedge twin (or an earlier retry) already won; this duplicate
         // execution was the price of the insurance.
         ++result.chaos.hedge_wasted;
         --r.copies;
-        tracker.OnProgress(static_cast<int>(ev.shard), now);
+        tracker.OnProgress(static_cast<int>(comp_s), now);
       } else if (corrupted && options.crc_enabled) {
         ++result.chaos.corrupted_detected;
-        tracker.OnProgress(static_cast<int>(ev.shard), now);
-        copy_gone(ev.req, 'f');
+        tracker.OnProgress(static_cast<int>(comp_s), now);
+        copy_gone(item.req, 'f');
       } else {
         r.done = true;
         --r.copies;
         --open;
-        FleetClassStats& cs = result.classes[static_cast<std::size_t>(r.cls)];
+        const std::size_t c = class_of(item.req);
+        FleetClassStats& cs = result.classes[c];
         ++cs.ok;
-        latencies[static_cast<std::size_t>(r.cls)].push_back(now -
-                                                             r.arrival_s);
+        latencies[c].push_back(
+            now - arrivals[static_cast<std::size_t>(item.req)].at_seconds);
         if (corrupted) {
           ++result.chaos.corrupted_served;
         } else if (now >= tail_start) {
           ++cs.ok_tail;
         }
-        if (r.deadline_abs != kNoDeadline && now > r.deadline_abs) {
-          tracker.OnDeadlineMiss(static_cast<int>(ev.shard), now,
+        if (now > deadline_of(item.req)) {
+          tracker.OnDeadlineMiss(static_cast<int>(comp_s), now,
                                  /*made_progress=*/true);
         } else {
-          tracker.OnProgress(static_cast<int>(ev.shard), now);
+          tracker.OnProgress(static_cast<int>(comp_s), now);
         }
       }
-      update_busy(ev.shard);
+      update_busy(comp_s);
       continue;
     }
 
     if (fault_t <= best) {
       const InjectedFault& f = schedule[fault_idx++];
       now = f.event.at_seconds;
-      ShardSim& sim = shards[static_cast<std::size_t>(f.event.shard)];
+      const auto s = static_cast<std::size_t>(f.event.shard);
+      ShardSim& sim = shards[s];
       switch (f.event.kind) {
         case FaultKind::kCrash:
-          if (sim.alive) {
-            sim.alive = false;
-            ++sim.epoch;
-            for (auto& wf : sim.worker_free) wf = std::min(wf, now);
-            for (const auto& fl : sim.inflight) {
-              sim.busy_seconds -=
-                  std::max(0.0, std::min(fl.item_s, fl.finish - now));
-              sim.lost.push_back(fl.req);
-            }
-            sim.inflight.clear();
-            // Queued entries stay in limbo: the fleet only learns of the
-            // loss through the health tripwires, and re-routes then.
-          }
+          // The fleet only learns of the loss through the health
+          // tripwires, and re-routes the queued entries then.
+          kill(s);
           break;
         case FaultKind::kStall:
           sim.stalled_until =
               std::max(sim.stalled_until, now + f.event.duration_seconds);
+          refresh(s);
           break;
         case FaultKind::kSlowdown:
           sim.derates.push_back(
@@ -550,10 +590,11 @@ FleetSimResult SimulateFleetChaos(
       continue;
     }
 
-    if (have_dispatch && dispatch_t <= best) {
+    if (dispatch_t <= best) {
+      // Dispatch before an arrival at the same instant (mirrors
+      // InferenceServer::ServeTrace).
       now = dispatch_t;
       ShardSim& sim = shards[dispatch_s];
-      std::vector<bool> ready(num_classes, false);
       for (std::size_t c = 0; c < num_classes; ++c)
         ready[c] = sim.queues[c].DispatchReady(now);
       const int picked =
@@ -574,6 +615,7 @@ FleetSimResult SimulateFleetChaos(
       std::vector<DeadlineQueue<int>::Entry> batch = q.TakeBatch();
       sim.scan_start = (static_cast<std::size_t>(picked) + 1) % num_classes;
       if (batch.empty()) continue;
+      // The batch runs back to back on the earliest-free instance.
       const auto w = static_cast<std::size_t>(
           std::min_element(sim.worker_free.begin(), sim.worker_free.end()) -
           sim.worker_free.begin());
@@ -585,9 +627,7 @@ FleetSimResult SimulateFleetChaos(
       double finish = now;
       for (const auto& e : batch) {
         finish += item_s;
-        comps.push({finish, dispatch_s, e.value, picked, item_s, sim.epoch,
-                    seq++});
-        sim.inflight.push_back({e.value, finish, item_s});
+        sim.running[w].push_back({finish, e.value, item_s, seq++});
       }
       sim.worker_free[w] = finish;
       sim.busy_seconds += finish - now;
@@ -599,16 +639,9 @@ FleetSimResult SimulateFleetChaos(
     if (arrival_t <= best) {
       now = arrival_t;
       const std::size_t idx = next_arrival++;
-      const auto c = static_cast<std::size_t>(arrival_class[idx]);
-      const LatencyClass& cls = classes[c];
+      const auto c = class_of(static_cast<int>(idx));
       FleetClassStats& cs = result.classes[c];
       ++cs.submitted;
-      Req& r = reqs[idx];
-      r.arrival_s = now;
-      r.cls = static_cast<int>(c);
-      r.deadline_abs = cls.deadline_seconds == kNoDeadline
-                           ? kNoDeadline
-                           : now + cls.deadline_seconds;
       ++open;
       // Degradation-aware admission: after a re-plan, each class admits
       // only the fraction of its offered load the surviving fleet can
@@ -619,7 +652,7 @@ FleetSimResult SimulateFleetChaos(
         admit_credit[c] -= 1.0;
       } else {
         result.decisions.push_back(-1);
-        r.counted = true;
+        reqs[idx].counted = true;
         --open;
         ++cs.rejected;
         ++result.chaos.degraded_shed;
@@ -640,8 +673,8 @@ FleetSimResult SimulateFleetChaos(
     }
   }
 
-  // Horizon and rates (same arithmetic as the legacy loop).
-  double horizon = arrivals.empty() ? 0 : arrival_time.back();
+  // Horizon and rates.
+  double horizon = arrivals.empty() ? 0 : arrivals.back().at_seconds;
   for (const ShardSim& sim : shards)
     for (double wf : sim.worker_free) horizon = std::max(horizon, wf);
   horizon = std::max(horizon, now);
@@ -690,305 +723,6 @@ FleetSimResult SimulateFleetChaos(
         horizon;
   }
   result.tail_seconds = std::max(0.0, horizon - tail_start);
-  if (result.tail_seconds > 0) {
-    result.tail_goodput_qps =
-        static_cast<double>(total_ok_tail) / result.tail_seconds;
-  }
-  return result;
-}
-
-}  // namespace
-
-std::vector<FleetTraceArrival> MakePoissonTrace(
-    const std::vector<LatencyClass>& classes, double duration_seconds,
-    std::uint64_t seed) {
-  HDNN_CHECK(duration_seconds > 0)
-      << "trace duration must be positive, got " << duration_seconds;
-  std::vector<FleetTraceArrival> trace;
-  const Prng root(seed);
-  for (std::size_t c = 0; c < classes.size(); ++c) {
-    const double rate = classes[c].offered_qps;
-    if (rate <= 0) continue;
-    Prng stream = root.Fork(static_cast<std::uint64_t>(c));
-    double t = 0;
-    for (;;) {
-      t += -std::log1p(-stream.NextDouble()) / rate;
-      if (t >= duration_seconds) break;
-      trace.push_back({t, static_cast<int>(c)});
-    }
-  }
-  std::stable_sort(trace.begin(), trace.end(),
-                   [](const FleetTraceArrival& a, const FleetTraceArrival& b) {
-                     if (a.at_seconds != b.at_seconds)
-                       return a.at_seconds < b.at_seconds;
-                     return a.class_index < b.class_index;
-                   });
-  return trace;
-}
-
-FleetSimResult SimulateFleet(
-    const std::vector<BoardCandidate>& candidates,
-    const std::vector<int>& shard_candidates,
-    const std::vector<LatencyClass>& classes,
-    const std::vector<std::vector<double>>& device_seconds,
-    const std::vector<FleetTraceArrival>& arrivals,
-    const FleetOptions& options, const FaultPlan* faults) {
-  if (faults != nullptr || options.hedge_slack_fraction > 0) {
-    return SimulateFleetChaos(candidates, shard_candidates, classes,
-                              device_seconds, arrivals, options, faults);
-  }
-  HDNN_CHECK(!shard_candidates.empty()) << "fleet has no shards";
-  HDNN_CHECK(!classes.empty()) << "fleet has no latency classes";
-  HDNN_CHECK(device_seconds.size() == candidates.size())
-      << "device_seconds must have one row per candidate";
-  const std::size_t num_shards = shard_candidates.size();
-  const std::size_t num_classes = classes.size();
-  const std::vector<double> weights = ClassWeights(options, num_classes);
-
-  struct ShardSim {
-    int cand = 0;
-    std::vector<double> worker_free;       // per NI instance
-    std::vector<DeadlineQueue<int>> queues;  // per class
-    std::vector<double> credits;
-    std::size_t scan_start = 0;
-    std::int64_t items = 0;
-    std::int64_t batches = 0;
-    double busy_seconds = 0;
-  };
-  std::vector<ShardSim> shards(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    const int cand = shard_candidates[s];
-    HDNN_CHECK(cand >= 0 && cand < static_cast<int>(candidates.size()))
-        << "shard candidate index " << cand << " out of range";
-    HDNN_CHECK(device_seconds[static_cast<std::size_t>(cand)].size() ==
-               candidates[static_cast<std::size_t>(cand)].item_seconds.size())
-        << "device_seconds row " << cand << " must have one entry per model";
-    ShardSim& sim = shards[s];
-    sim.cand = cand;
-    const int ni = candidates[static_cast<std::size_t>(cand)].config.ni;
-    sim.worker_free.assign(static_cast<std::size_t>(ni), 0.0);
-    sim.credits.assign(num_classes, 0.0);
-    sim.queues.reserve(num_classes);
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      sim.queues.emplace_back(options.max_queue_depth, options.max_batch,
-                              options.max_queue_delay_seconds);
-    }
-  }
-  auto dev = [&](const ShardSim& sim, int model) {
-    return device_seconds[static_cast<std::size_t>(sim.cand)]
-                         [static_cast<std::size_t>(model)];
-  };
-  // Static feasibility: one item's device time fits the class deadline.
-  std::vector<std::vector<bool>> feasible_static(
-      num_shards, std::vector<bool>(num_classes, false));
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      feasible_static[s][c] = dev(shards[s], classes[c].model_index) <=
-                              classes[c].deadline_seconds;
-    }
-  }
-
-  Router router(static_cast<int>(num_shards), options.router);
-  FleetSimResult result;
-  result.decisions.reserve(arrivals.size());
-  result.classes.assign(num_classes, {});
-  std::vector<std::vector<double>> latencies(num_classes);
-
-  std::vector<double> arrival_time(arrivals.size());
-  std::vector<int> arrival_class(arrivals.size());
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    arrival_time[i] = arrivals[i].at_seconds;
-    arrival_class[i] = arrivals[i].class_index;
-    HDNN_CHECK(arrival_class[i] >= 0 &&
-               arrival_class[i] < static_cast<int>(num_classes))
-        << "arrival class " << arrival_class[i] << " out of range";
-    HDNN_CHECK(i == 0 || arrival_time[i] >= arrival_time[i - 1])
-        << "trace arrivals must be time-ordered";
-  }
-
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::size_t next_arrival = 0;
-  double now = 0;
-  std::vector<DeadlineQueue<int>::Entry> scratch;
-
-  auto min_free = [](const ShardSim& sim) {
-    return *std::min_element(sim.worker_free.begin(), sim.worker_free.end());
-  };
-
-  for (;;) {
-    // Earliest dispatch opportunity across shards (lowest shard wins ties).
-    double dispatch_t = kInf;
-    std::size_t dispatch_s = 0;
-    bool have_dispatch = false;
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      ShardSim& sim = shards[s];
-      const double mf = min_free(sim);
-      for (std::size_t c = 0; c < num_classes; ++c) {
-        const DeadlineQueue<int>& q = sim.queues[c];
-        if (q.empty()) continue;
-        const double ready_t =
-            q.size() >= q.max_batch() ? now : q.NextTriggerTime();
-        const double t = std::max({ready_t, mf, now});
-        if (t < dispatch_t) {
-          dispatch_t = t;
-          dispatch_s = s;
-          have_dispatch = true;
-        }
-      }
-    }
-    const double arrival_t =
-        next_arrival < arrivals.size() ? arrival_time[next_arrival] : kInf;
-    if (!have_dispatch && next_arrival >= arrivals.size()) break;
-
-    if (have_dispatch && dispatch_t <= arrival_t) {
-      // Dispatch first on ties (mirrors ServeTrace).
-      now = dispatch_t;
-      ShardSim& sim = shards[dispatch_s];
-      std::vector<bool> ready(num_classes, false);
-      for (std::size_t c = 0; c < num_classes; ++c)
-        ready[c] = sim.queues[c].DispatchReady(now);
-      const int picked =
-          PickReadyQueue(ready, weights, sim.credits, sim.scan_start);
-      if (picked < 0) continue;  // the trigger moved; recompute events
-      DeadlineQueue<int>& q = sim.queues[static_cast<std::size_t>(picked)];
-      scratch.clear();
-      q.SweepExpired(now, scratch);
-      result.classes[static_cast<std::size_t>(picked)].expired +=
-          static_cast<std::int64_t>(scratch.size());
-      if (!q.DispatchReady(now)) continue;  // sweep cancelled the trigger
-      std::vector<DeadlineQueue<int>::Entry> batch = q.TakeBatch();
-      sim.scan_start =
-          (static_cast<std::size_t>(picked) + 1) % num_classes;
-      if (batch.empty()) continue;
-      // The batch runs back-to-back on the earliest-free instance.
-      const auto w = static_cast<std::size_t>(
-          std::min_element(sim.worker_free.begin(), sim.worker_free.end()) -
-          sim.worker_free.begin());
-      const double item_s = dev(sim, classes[static_cast<std::size_t>(picked)]
-                                         .model_index);
-      double finish = now;
-      for (const auto& e : batch) {
-        finish += item_s;
-        const double latency =
-            finish - arrival_time[static_cast<std::size_t>(e.value)];
-        FleetClassStats& cs =
-            result.classes[static_cast<std::size_t>(picked)];
-        ++cs.ok;
-        if (finish >= options.tail_window_start_seconds) ++cs.ok_tail;
-        latencies[static_cast<std::size_t>(picked)].push_back(latency);
-      }
-      sim.worker_free[w] = finish;
-      sim.busy_seconds += finish - now;
-      sim.items += static_cast<std::int64_t>(batch.size());
-      ++sim.batches;
-      continue;
-    }
-
-    // Arrival.
-    now = arrival_t;
-    const std::size_t idx = next_arrival++;
-    const auto c = static_cast<std::size_t>(arrival_class[idx]);
-    const LatencyClass& cls = classes[c];
-    FleetClassStats& cs = result.classes[c];
-    ++cs.submitted;
-
-    std::vector<double> load(num_shards, 0);
-    std::vector<bool> mask_static(num_shards, false);
-    std::vector<bool> mask_dyn(num_shards, false);
-    bool any_dyn = false;
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      const ShardSim& sim = shards[s];
-      double backlog = 0;
-      for (double wf : sim.worker_free) backlog += std::max(0.0, wf - now);
-      for (std::size_t c2 = 0; c2 < num_classes; ++c2) {
-        backlog += sim.queues[c2].size() *
-                   dev(sim, classes[c2].model_index);
-      }
-      load[s] = backlog / static_cast<double>(sim.worker_free.size());
-      if (!feasible_static[s][c]) continue;
-      mask_static[s] = true;
-      if (load[s] + dev(sim, cls.model_index) <= cls.deadline_seconds) {
-        mask_dyn[s] = true;
-        any_dyn = true;
-      }
-    }
-    // Deadline-aware masking: prefer shards whose backlog still leaves
-    // deadline slack; when none does, fall back to any statically-feasible
-    // shard and let admission shed. An all-false mask returns -1 but still
-    // consumes the decision slot, keeping decision k pinned to arrival k.
-    const int shard =
-        router.Route(load, any_dyn ? mask_dyn : mask_static);
-    result.decisions.push_back(shard);
-    if (shard < 0) {
-      ++cs.unroutable;
-      continue;
-    }
-    ShardSim& sim = shards[static_cast<std::size_t>(shard)];
-    DeadlineQueue<int>::Entry entry;
-    entry.value = static_cast<int>(idx);
-    entry.enqueue_s = now;
-    entry.deadline_s = cls.deadline_seconds == kNoDeadline
-                           ? kNoDeadline
-                           : now + cls.deadline_seconds;
-    scratch.clear();
-    DeadlineQueue<int>::Entry evicted;
-    const AdmitResult admit =
-        sim.queues[c].Push(entry, now, &evicted, scratch);
-    cs.expired += static_cast<std::int64_t>(scratch.size());
-    if (admit == AdmitResult::kRejected) {
-      ++cs.rejected;
-    } else if (admit == AdmitResult::kEvicted) {
-      ++result.classes[c].rejected;  // the evicted entry is of this class
-    }
-  }
-
-  // Horizon and rates.
-  double horizon = arrivals.empty() ? 0 : arrival_time.back();
-  for (const ShardSim& sim : shards)
-    for (double wf : sim.worker_free) horizon = std::max(horizon, wf);
-  result.horizon_seconds = horizon;
-  std::int64_t total_ok = 0;
-  std::int64_t total_ok_tail = 0;
-  for (std::size_t c = 0; c < num_classes; ++c) {
-    FleetClassStats& cs = result.classes[c];
-    total_ok += cs.ok;
-    total_ok_tail += cs.ok_tail;
-    if (horizon > 0)
-      cs.achieved_qps = static_cast<double>(cs.ok) / horizon;
-    std::sort(latencies[c].begin(), latencies[c].end());
-    cs.p50_ms = Percentile(latencies[c], 0.50) * 1e3;
-    cs.p99_ms = Percentile(latencies[c], 0.99) * 1e3;
-  }
-  result.shards.assign(num_shards, {});
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    const ShardSim& sim = shards[s];
-    const BoardCandidate& cand =
-        candidates[static_cast<std::size_t>(sim.cand)];
-    FleetShardStats& ss = result.shards[s];
-    ss.candidate_index = sim.cand;
-    ss.items = sim.items;
-    ss.batches = sim.batches;
-    ss.busy_seconds = sim.busy_seconds;
-    if (horizon > 0) {
-      const double capacity =
-          horizon * static_cast<double>(sim.worker_free.size());
-      ss.utilization = std::min(1.0, sim.busy_seconds / capacity);
-      ss.measured_qps = static_cast<double>(sim.items) / horizon;
-      ss.energy_joules = DefaultPowerModel().EnergyJoules(
-          cand.spec, cand.implementation.AsUsage(), horizon, ss.utilization);
-    }
-    result.energy_joules += ss.energy_joules;
-  }
-  if (horizon > 0)
-    result.total_ok_qps = static_cast<double>(total_ok) / horizon;
-  if (result.energy_joules > 0)
-    result.qps_per_joule =
-        static_cast<double>(total_ok) / result.energy_joules;
-  // No faults on this path: goodput is just throughput, and the tail
-  // window is populated so a chaos run has a like-for-like baseline.
-  if (horizon > 0) result.goodput_qps = static_cast<double>(total_ok) / horizon;
-  result.tail_seconds =
-      std::max(0.0, horizon - options.tail_window_start_seconds);
   if (result.tail_seconds > 0) {
     result.tail_goodput_qps =
         static_cast<double>(total_ok_tail) / result.tail_seconds;

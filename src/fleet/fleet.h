@@ -8,10 +8,12 @@
 //     object as the live server), NI worker instances per shard paced on
 //     caller-supplied device seconds, the weighted drain scan
 //     (runtime/server.h PickReadyQueue) for intra-shard cross-class
-//     fairness, and the deterministic Router for dispatch. No wall clock
-//     enters, so the decision vector and every statistic are bit-identical
-//     across reruns — the fleet bench pins this, and validates the
-//     planner's modeled capacity against the simulated measurement.
+//     fairness, the deterministic Router for dispatch, and the fault
+//     injection and self-healing machinery of DESIGN.md Sec. 12 — all in
+//     one event loop. No wall clock enters, so the decision vector and
+//     every statistic are bit-identical across reruns — the fleet bench
+//     pins this, and validates the planner's modeled capacity against the
+//     simulated measurement.
 //   * Fleet — the live composition: one InferenceEngine per distinct
 //     platform (all shards of a platform share its program cache and
 //     RuntimePool), one device-paced InferenceServer per board with
@@ -52,11 +54,11 @@ struct FleetOptions {
   /// empty = uniform (legacy round-robin).
   std::vector<double> class_weights;
 
-  // --- Self-healing knobs (DESIGN.md Sec. 12). The chaos machinery only
-  // engages when SimulateFleet is handed a FaultPlan (even an empty one)
-  // or hedging is enabled; with neither, the simulation takes the legacy
-  // path and is bit-identical to the pre-chaos fleet.
-  /// Detection thresholds for the per-shard HealthTracker.
+  // --- Self-healing knobs (DESIGN.md Sec. 12).
+  /// Detection thresholds for the per-shard HealthTracker. SimulateFleet
+  /// arms the tracker only when it is handed a FaultPlan (even an empty
+  /// one) or hedging is enabled; with neither, nothing can fail, so no
+  /// tripwire fires and these thresholds are unused.
   HealthOptions health;
   /// Hedge a request to the router's backup shard when its predicted
   /// completion (backlog + one item) eats more than
@@ -105,7 +107,7 @@ struct FleetClassStats {
   std::int64_t unroutable = 0;  ///< no feasible shard; shed at the router
   /// Terminal failures under fault injection: every copy was lost to a
   /// crash or rejected by the CRC check and the retry budget or deadline
-  /// ran out. Always 0 on the legacy (no-chaos) path. Conservation:
+  /// ran out. Always 0 without a fault plan. Conservation:
   /// submitted == ok + rejected + expired + unroutable + failed.
   std::int64_t failed = 0;
   /// Clean (non-corrupted) completions inside the tail window
@@ -116,7 +118,7 @@ struct FleetClassStats {
   double p99_ms = 0;
 };
 
-/// Fleet-wide chaos counters (all zero on the legacy path).
+/// Fleet-wide chaos counters (all zero with no fault plan and no hedging).
 struct FleetChaosStats {
   std::int64_t hedges = 0;        ///< hedge copies admitted
   std::int64_t hedge_wasted = 0;  ///< duplicate executions of settled requests
@@ -169,16 +171,15 @@ struct FleetSimResult {
 /// pure modeling). Pure function of its arguments.
 ///
 /// `faults` (optional) injects the plan's seeded board faults into the
-/// virtual timeline and engages the self-healing machinery: HealthTracker
-/// detection (heartbeat silence, consecutive deadline misses), router
-/// masking of unhealthy shards, deadline hedging, capped retry with
-/// backoff, CRC rejection of corrupted results, and degradation-aware
-/// re-planning on permanent board loss. Passing nullptr (and leaving
-/// hedging off) takes the legacy code path, bit-identical to the
-/// pre-chaos simulator; passing an EMPTY plan runs the full chaos event
-/// loop with no faults, which the chaos bench self-checks against the
-/// nullptr run. Still a pure function: same arguments -> bit-identical
-/// result, faults included.
+/// virtual timeline and arms the HealthTracker (heartbeat silence,
+/// consecutive deadline misses) with `options.health`. The self-healing
+/// machinery is always in the loop: router masking of unhealthy shards,
+/// deadline hedging, capped retry with backoff, CRC rejection of
+/// corrupted results, and degradation-aware re-planning on permanent
+/// board loss. With no plan and hedging off the tracker is disarmed, so
+/// nothing masks a shard; an EMPTY plan arms it but injects nothing, and
+/// the chaos bench self-checks it against the nullptr run. Still a pure
+/// function: same arguments -> bit-identical result, faults included.
 FleetSimResult SimulateFleet(
     const std::vector<BoardCandidate>& candidates,
     const std::vector<int>& shard_candidates,

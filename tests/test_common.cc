@@ -246,6 +246,17 @@ TEST(MathUtilTest, PowersOfTwo) {
   EXPECT_EQ(Log2Floor(9), 3);
 }
 
+TEST(MathUtilTest, PercentileIsNearestRank) {
+  const std::vector<double> v{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  EXPECT_EQ(Percentile(v, 0.0), 1);
+  EXPECT_EQ(Percentile(v, 0.50), 5) << "ceil(0.5 * 10) = 5th smallest";
+  EXPECT_EQ(Percentile(v, 0.51), 6);
+  EXPECT_EQ(Percentile(v, 0.99), 10);
+  EXPECT_EQ(Percentile(v, 1.0), 10);
+  EXPECT_EQ(Percentile({7.5}, 0.999), 7.5);
+  EXPECT_EQ(Percentile({}, 0.5), 0);
+}
+
 // --- prng ---
 
 TEST(PrngTest, DeterministicAcrossInstances) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <future>
 #include <set>
 #include <vector>
@@ -308,6 +309,29 @@ TEST(FleetSimTest, InfeasibleEverywhereIsUnroutable) {
   EXPECT_EQ(res.decisions, (std::vector<int>{-1, -1}));
   EXPECT_EQ(res.classes[0].unroutable, 2);
   EXPECT_EQ(res.classes[0].ok, 0);
+
+  // A board with no NI instance cannot run anything: rejected up front.
+  cands[0].config.ni = 0;
+  EXPECT_THROW(SimulateFleet(cands, {0}, classes, {cands[0].item_seconds},
+                             {{0.0, 0}}, FleetOptions{}),
+               InvalidArgument);
+}
+
+TEST(FleetSimTest, TrailingExpirySweepEndsTheHorizon) {
+  // The class deadline (0.2 ms) is shorter than the batching delay (1 ms):
+  // both requests are still queued when the timeout trigger fires at
+  // t = 0.001 and expire there. That sweep is the replay's last event, so
+  // the horizon runs to it rather than stopping at the last arrival.
+  std::vector<BoardCandidate> cands;
+  cands.push_back(MakeCandidate("a", 1, 10.0, {0.0001}));
+  const std::vector<LatencyClass> classes{MakeClass("c", 0, 1.0, 0.0002)};
+  FleetOptions opts;
+  opts.max_queue_delay_seconds = 0.001;
+  const auto res = SimulateFleet(cands, {0}, classes, {cands[0].item_seconds},
+                                 {{0.0, 0}, {0.0005, 0}}, opts);
+  EXPECT_EQ(res.classes[0].expired, 2);
+  EXPECT_EQ(res.shards[0].batches, 0);
+  EXPECT_DOUBLE_EQ(res.horizon_seconds, 0.001);
 }
 
 TEST(FleetSimTest, RerunsAreBitIdentical) {
@@ -383,9 +407,10 @@ TEST(RouterTest, RoutePairPrimaryMatchesRouteAndHedgeIsDistinct) {
   EXPECT_EQ(two.RoutePair({1.0, 2.0}, {true, false}).hedge, -1);
 }
 
-// The chaos event loop with an EMPTY plan must reproduce the legacy
-// simulator bit for bit (fault hooks off = zero behavior change). Health
-// wires are opened wide so detection cannot fire on this healthy workload.
+// An EMPTY plan (health tracker armed, nothing injected) must reproduce
+// the no-plan replay bit for bit: the fault machinery alone changes
+// nothing. Health wires are opened wide so detection cannot fire on this
+// healthy workload.
 TEST(FleetChaosSimTest, EmptyPlanIsBitIdenticalToLegacyPath) {
   std::vector<BoardCandidate> cands;
   cands.push_back(MakeCandidate("big", 2, 20.0, {0.0005, 0.0002}));
@@ -639,6 +664,143 @@ TEST(FleetChaosSimTest, TotalLossWithDeadlinesFailsClosed) {
   EXPECT_EQ(res.chaos.shards_down, 2);
   EXPECT_GT(cs.failed + cs.expired + cs.unroutable, 0);
   EXPECT_LT(cs.ok, 8) << "a fleet-wide crash cannot serve everything";
+}
+
+// --- golden pins: the virtual-time fleet's exact results ---
+//
+// Digests of full SimulateFleet results, captured from the simulator and
+// pinned so a rewrite of the event loop has to reproduce every decision,
+// counter and floating-point statistic bit for bit. The digests rely on
+// IEEE-754 double arithmetic and on std::log1p (MakePoissonTrace).
+
+// FNV-1a over the decision vector and every class, shard and chaos field;
+// doubles enter by bit pattern.
+std::uint64_t ResultDigest(const FleetSimResult& r) {
+  std::uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  auto mix_i = [&mix](std::int64_t v) { mix(static_cast<std::uint64_t>(v)); };
+  auto mix_d = [&mix](double d) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof bits);
+    mix(bits);
+  };
+  mix(r.decisions.size());
+  for (int d : r.decisions) mix_i(d);
+  for (const FleetClassStats& c : r.classes) {
+    mix_i(c.submitted);
+    mix_i(c.ok);
+    mix_i(c.rejected);
+    mix_i(c.expired);
+    mix_i(c.unroutable);
+    mix_i(c.failed);
+    mix_i(c.ok_tail);
+    mix_d(c.achieved_qps);
+    mix_d(c.p50_ms);
+    mix_d(c.p99_ms);
+  }
+  for (const FleetShardStats& s : r.shards) {
+    mix_i(s.candidate_index);
+    mix_i(s.items);
+    mix_i(s.batches);
+    mix_d(s.busy_seconds);
+    mix_d(s.utilization);
+    mix_d(s.measured_qps);
+    mix_d(s.energy_joules);
+  }
+  const FleetChaosStats& x = r.chaos;
+  for (std::int64_t v : {x.hedges, x.hedge_wasted, x.retries,
+                         x.corrupted_detected, x.corrupted_served,
+                         x.degraded_shed}) {
+    mix_i(v);
+  }
+  mix_i(x.replans);
+  mix_i(x.shards_down);
+  mix_i(x.health_transitions);
+  mix_d(x.first_down_seconds);
+  for (double v : {r.horizon_seconds, r.total_ok_qps, r.energy_joules,
+                   r.qps_per_joule, r.goodput_qps, r.tail_goodput_qps,
+                   r.tail_seconds}) {
+    mix_d(v);
+  }
+  return h;
+}
+
+TEST(FleetGoldenTest, NoPlanMixedClassRunMatchesPinnedDigest) {
+  // The RerunsAreBitIdentical scenario.
+  std::vector<BoardCandidate> cands;
+  cands.push_back(MakeCandidate("big", 2, 20.0, {0.0005, 0.0002}));
+  cands.push_back(MakeCandidate("small", 1, 4.0, {0.002, 0.0008}));
+  const std::vector<LatencyClass> classes{
+      MakeClass("tight", 0, 3000.0, 0.004),
+      MakeClass("loose", 1, 4000.0, 0.020)};
+  FleetOptions opts;
+  opts.max_batch = 4;
+  opts.max_queue_delay_seconds = 0.001;
+  opts.class_weights = {2.0, 1.0};
+  const auto res =
+      SimulateFleet(cands, {0, 0, 1}, classes,
+                    {cands[0].item_seconds, cands[1].item_seconds},
+                    MakePoissonTrace(classes, 0.25, 99), opts);
+  EXPECT_EQ(ResultDigest(res), 0x51c8d7ba81edaa4full);
+}
+
+TEST(FleetGoldenTest, NoPlanOverloadIgnoresDefaultHealthOptions) {
+  // Twice the fleet's capacity with tight deadlines and the default
+  // HealthOptions (max_consecutive_misses = 8): with no fault plan and no
+  // hedging the miss tripwire is disarmed, so expiries never mask a shard.
+  std::vector<BoardCandidate> cands;
+  cands.push_back(MakeCandidate("big", 2, 20.0, {0.0005, 0.0002}));
+  cands.push_back(MakeCandidate("small", 1, 4.0, {0.002, 0.0008}));
+  const std::vector<LatencyClass> classes{
+      MakeClass("tight", 0, 6000.0, 0.002),
+      MakeClass("loose", 1, 8000.0, 0.010)};
+  const std::vector<std::vector<double>> dev{cands[0].item_seconds,
+                                             cands[1].item_seconds};
+  const FleetOptions opts;
+  ASSERT_EQ(opts.health.max_consecutive_misses, 8);
+  const auto trace = MakePoissonTrace(classes, 0.1, 17);
+  const auto res = SimulateFleet(cands, {0, 1}, classes, dev, trace, opts);
+  EXPECT_GT(res.classes[0].expired + res.classes[1].expired, 8)
+      << "the scenario must miss deadlines";
+  EXPECT_EQ(res.chaos.health_transitions, 0);
+  EXPECT_EQ(ResultDigest(res), 0xc61c88d7bdfb4775ull);
+
+  // The same run with the tracker armed (an empty plan) diverges: the pin
+  // above would catch a plain replay that armed it.
+  const FaultPlan empty(1);
+  const auto armed =
+      SimulateFleet(cands, {0, 1}, classes, dev, trace, opts, &empty);
+  EXPECT_GT(armed.chaos.health_transitions, 0);
+  EXPECT_NE(ResultDigest(armed), ResultDigest(res));
+}
+
+TEST(FleetGoldenTest, CrashWithWorkOnBothInstancesMatchesPinnedDigest) {
+  // Two NI = 2 shards at 75% load; shard 0 crashes while both of its
+  // instances run batches. The digest pins the order in which the lost
+  // items are retried and the busy_seconds refund of their unrun time.
+  std::vector<BoardCandidate> cands;
+  cands.push_back(MakeCandidate("a", 2, 10.0, {0.001}));
+  const std::vector<LatencyClass> classes{MakeClass("c", 0, 3000.0)};
+  FleetOptions opts;
+  opts.max_batch = 4;
+  opts.health.heartbeat_timeout_seconds = 0.004;
+  opts.health.down_after_seconds = 0.004;
+  FaultPlan plan(7);
+  plan.AddCrash(0, 0.05);
+  const auto res =
+      SimulateFleet(cands, {0, 0}, classes, {cands[0].item_seconds},
+                    MakePoissonTrace(classes, 0.2, 1), opts, &plan);
+  const FleetClassStats& cs = res.classes[0];
+  EXPECT_EQ(res.chaos.shards_down, 1);
+  EXPECT_GT(res.chaos.retries, 0);
+  EXPECT_EQ(cs.submitted,
+            cs.ok + cs.rejected + cs.expired + cs.unroutable + cs.failed);
+  EXPECT_EQ(ResultDigest(res), 0xb4292bbbc5f66e39ull);
 }
 
 // --- live fleet ---
