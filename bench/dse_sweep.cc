@@ -9,10 +9,10 @@
 //   * parallel leg — one engine per platform reused across the sweep,
 //                    hardware-concurrency workers, shared memo cache.
 //
-// Both legs produce bit-identical DseResults/frontiers (verified and
-// reported as "bit_identical"); only the wall-clock may differ. Prints a
-// table and writes one JSON document (default ./BENCH_dse_sweep.json,
-// override with argv[1]).
+// Both legs produce bit-identical DseResults/frontiers (verified; the
+// "result_mismatches" row counts scenarios that differ, and any mismatch
+// exits 2); only the wall-clock may differ. Prints a table and writes one
+// BENCH file (default ./BENCH_dse_sweep.json, override with argv[1]).
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -124,10 +124,9 @@ int main(int argc, char** argv) {
   }
   const double parallel_seconds = SecondsSince(t_parallel);
 
-  bool bit_identical = true;
+  int mismatches = 0;
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    bit_identical =
-        bit_identical && SameResult(serial_results[i], parallel_results[i]);
+    if (!SameResult(serial_results[i], parallel_results[i])) ++mismatches;
   }
   const LatencyMemoCache::Stats vu9p_stats = vu9p_engine.cache_stats();
   const LatencyMemoCache::Stats pynq_stats = pynq_engine.cache_stats();
@@ -158,41 +157,31 @@ int main(int argc, char** argv) {
   std::printf("  parallel (shared engine + memo cache)    : %8.1f ms\n",
               parallel_seconds * 1e3);
   std::printf("  speedup %.2fx   memo hit rate %.1f%%   bit-identical: %s\n",
-              speedup, 100 * hit_rate, bit_identical ? "yes" : "NO");
+              speedup, 100 * hit_rate, mismatches == 0 ? "yes" : "NO");
 
-  // --- JSON ---------------------------------------------------------------
-  std::FILE* out = std::fopen(json_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"dse_sweep\",\n");
-  std::fprintf(out, "  \"rounds\": %d,\n", kRounds);
-  std::fprintf(out, "  \"scenarios\": [\n");
+  BenchRows out("dse_sweep");
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const Scenario& sc = scenarios[i];
+    const std::string name =
+        std::string(scenarios[i].platform) + "/" + scenarios[i].model_name;
     const DseFrontier& f = parallel_results[i];
-    std::fprintf(out,
-                 "    {\"platform\": \"%s\", \"model\": \"%s\", "
-                 "\"layers\": %d, \"candidates_evaluated\": %d, "
-                 "\"frontier_points\": %zu, \"best_config\": \"%s\", "
-                 "\"best_objective_cycles\": %.1f, "
-                 "\"best_power_watts\": %.3f}%s\n",
-                 sc.platform, sc.model_name, sc.model->num_layers(),
-                 f.candidates_evaluated, f.points.size(),
-                 f.best.config.ToString().c_str(), f.best.objective,
-                 f.best.power_watts, i + 1 < scenarios.size() ? "," : "");
+    out.Add(name, "layers", scenarios[i].model->num_layers(), "count",
+            Better::kNeutral);
+    out.Add(name, "candidates_evaluated", f.candidates_evaluated, "count",
+            Better::kLower);
+    out.Add(name, "frontier_points", f.points.size(), "count",
+            Better::kHigher);
+    out.Add(name, "best_objective_cycles", f.best.objective, "cycles",
+            Better::kLower);
+    out.Add(name, "best_power_watts", f.best.power_watts, "W",
+            Better::kLower);
   }
-  std::fprintf(out, "  ],\n");
-  std::fprintf(out,
-               "  \"serial_wall_seconds\": %.6f,\n"
-               "  \"parallel_wall_seconds\": %.6f,\n"
-               "  \"speedup\": %.3f,\n"
-               "  \"memo_hit_rate\": %.4f,\n"
-               "  \"bit_identical\": %s\n}\n",
-               serial_seconds, parallel_seconds, speedup, hit_rate,
-               bit_identical ? "true" : "false");
-  std::fclose(out);
-  std::printf("wrote %s\n", json_path.c_str());
-  return bit_identical ? 0 : 2;
+  out.Add("sweep", "rounds", kRounds, "count", Better::kNeutral);
+  out.Add("sweep", "serial_wall_seconds", serial_seconds, "s", Better::kLower);
+  out.Add("sweep", "parallel_wall_seconds", parallel_seconds, "s",
+          Better::kLower);
+  out.Add("sweep", "speedup", speedup, "x", Better::kHigher);
+  out.Add("sweep", "memo_hit_rate", hit_rate, "frac", Better::kHigher);
+  out.Add("sweep", "result_mismatches", mismatches, "count", Better::kZero);
+  out.Write(json_path);
+  return mismatches == 0 ? 0 : 2;
 }

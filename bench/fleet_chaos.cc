@@ -32,16 +32,17 @@
 //     the collection window throws IntegrityError and a retry reproduces
 //     the golden output bit-exactly.
 //
-// JSON goes to stdout AND a file (default ./BENCH_fleet_chaos.json,
-// override with argv[1]). `--smoke` shortens the trace for CI.
-#include <cstdarg>
+// Prints the rows and writes them as one BENCH file (default
+// ./BENCH_fleet_chaos.json, override with argv[1]); each determinism and
+// integrity check is also a "zero" row counting its mismatches. `--smoke`
+// shortens the trace for CI.
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/fault.h"
-#include "compiler/compiler.h"
 #include "compiler/weight_pack.h"
 #include "fleet/fleet.h"
 #include "nn/builders.h"
@@ -52,18 +53,7 @@ using namespace hdnn;
 
 namespace {
 
-std::FILE* g_json = nullptr;
-
-void Emit(const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
-  va_list copy;
-  va_copy(copy, args);
-  std::vprintf(fmt, args);
-  if (g_json != nullptr) std::vfprintf(g_json, fmt, copy);
-  va_end(copy);
-  va_end(args);
-}
+using bench::Better;
 
 BoardCandidate MakeBoard(const std::string& name, double item_seconds,
                          double power_watts) {
@@ -125,6 +115,7 @@ struct Scenario {
   std::string name;
   FleetSimResult sim;
   bool replay_identical = false;
+  bool crc_enabled = false;
 };
 
 std::int64_t TotalOf(const FleetSimResult& sim,
@@ -134,31 +125,42 @@ std::int64_t TotalOf(const FleetSimResult& sim,
   return total;
 }
 
-void EmitScenario(const Scenario& s, bool first) {
+void AddScenario(bench::BenchRows& out, const Scenario& s) {
   const FleetSimResult& r = s.sim;
-  Emit("%s    {\"name\": \"%s\", \"ok\": %lld, \"rejected\": %lld, "
-       "\"expired\": %lld, \"unroutable\": %lld, \"failed\": %lld, "
-       "\"goodput_qps\": %.1f, \"tail_goodput_qps\": %.1f, "
-       "\"hedges\": %lld, \"hedge_wasted\": %lld, \"retries\": %lld, "
-       "\"corrupted_detected\": %lld, \"corrupted_served\": %lld, "
-       "\"degraded_shed\": %lld, \"replans\": %d, \"shards_down\": %d, "
-       "\"health_transitions\": %d, \"first_down_seconds\": %.4f, "
-       "\"replay_identical\": %s}",
-       first ? "" : ",\n", s.name.c_str(),
-       static_cast<long long>(TotalOf(r, &FleetClassStats::ok)),
-       static_cast<long long>(TotalOf(r, &FleetClassStats::rejected)),
-       static_cast<long long>(TotalOf(r, &FleetClassStats::expired)),
-       static_cast<long long>(TotalOf(r, &FleetClassStats::unroutable)),
-       static_cast<long long>(TotalOf(r, &FleetClassStats::failed)),
-       r.goodput_qps, r.tail_goodput_qps,
-       static_cast<long long>(r.chaos.hedges),
-       static_cast<long long>(r.chaos.hedge_wasted),
-       static_cast<long long>(r.chaos.retries),
-       static_cast<long long>(r.chaos.corrupted_detected),
-       static_cast<long long>(r.chaos.corrupted_served),
-       static_cast<long long>(r.chaos.degraded_shed), r.chaos.replans,
-       r.chaos.shards_down, r.chaos.health_transitions,
-       r.chaos.first_down_seconds, s.replay_identical ? "true" : "false");
+  const auto add = [&](const char* metric, double value, const char* unit,
+                       Better better) {
+    out.Add(s.name, metric, value, unit, better);
+  };
+  const auto total = [&](std::int64_t FleetClassStats::*field) {
+    return TotalOf(r, field);
+  };
+  add("ok", total(&FleetClassStats::ok), "count", Better::kHigher);
+  add("rejected", total(&FleetClassStats::rejected), "count", Better::kLower);
+  add("expired", total(&FleetClassStats::expired), "count", Better::kLower);
+  add("unroutable", total(&FleetClassStats::unroutable), "count",
+      Better::kLower);
+  add("failed", total(&FleetClassStats::failed), "count", Better::kLower);
+  add("goodput_qps", r.goodput_qps, "1/s", Better::kHigher);
+  add("tail_goodput_qps", r.tail_goodput_qps, "1/s", Better::kHigher);
+  // Retries, detections and health events scale with what the plan
+  // injects, so their movement carries no verdict.
+  add("hedges", r.chaos.hedges, "count", Better::kNeutral);
+  add("hedge_wasted", r.chaos.hedge_wasted, "count", Better::kLower);
+  add("retries", r.chaos.retries, "count", Better::kNeutral);
+  add("corrupted_detected", r.chaos.corrupted_detected, "count",
+      Better::kNeutral);
+  // With the CRC on, a served corruption is an integrity failure.
+  add("corrupted_served", r.chaos.corrupted_served, "count",
+      s.crc_enabled ? Better::kZero : Better::kNeutral);
+  add("degraded_shed", r.chaos.degraded_shed, "count", Better::kLower);
+  add("replans", r.chaos.replans, "count", Better::kNeutral);
+  add("shards_down", r.chaos.shards_down, "count", Better::kNeutral);
+  add("health_transitions", r.chaos.health_transitions, "count",
+      Better::kNeutral);
+  add("first_down_seconds", r.chaos.first_down_seconds, "s",
+      Better::kNeutral);
+  add("replay_mismatches", s.replay_identical ? 0 : 1, "count",
+      Better::kZero);
 }
 
 /// End-to-end integrity demo: a DRAM word flip inside the collection
@@ -219,11 +221,6 @@ int main(int argc, char** argv) {
       json_path = argv[i];
     }
   }
-  g_json = std::fopen(json_path.c_str(), "w");
-  if (g_json == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-    return 1;
-  }
 
   // 5 x 1000 QPS boards vs 2800 QPS offered: one board loss leaves
   // 4000 QPS (3400 after the re-plan's 0.85 derate), so full recovery is
@@ -270,14 +267,13 @@ int main(int argc, char** argv) {
     const FleetSimResult rerun = SimulateFleet(
         candidates, shard_candidates, classes, {{0.001}}, trace, o, plan);
     s.replay_identical = SameResult(s.sim, rerun);
+    s.crc_enabled = o.crc_enabled;
     return s;
   };
 
   std::vector<Scenario> scenarios;
 
-  // Baseline (no plan) and the empty plan. The JSON key for their
-  // comparison keeps its name, empty_plan_equals_legacy, so BENCH files
-  // from earlier commits stay comparable.
+  // Baseline (no plan) and the empty plan, which must match byte-for-byte.
   scenarios.push_back(run("baseline", opts, nullptr));
   const FaultPlan empty_plan(4242);
   scenarios.push_back(run("empty_plan", opts, &empty_plan));
@@ -326,42 +322,24 @@ int main(int argc, char** argv) {
           ? crash.sim.tail_goodput_qps / baseline.sim.tail_goodput_qps
           : 0;
 
-  Emit("{\n");
-  Emit("  \"smoke\": %s,\n", smoke ? "true" : "false");
-  Emit("  \"fleet\": {\"boards\": %d, \"board_qps\": 1000.0, "
-       "\"offered_qps\": 2800.0},\n",
-       kBoards);
-  Emit("  \"trace_arrivals\": %zu,\n", trace.size());
-  Emit("  \"trace_seconds\": %.3f,\n", duration);
-  Emit("  \"crash_at_seconds\": %.3f,\n", crash_at);
-  Emit("  \"tail_window_start_seconds\": %.3f,\n", tail_start);
-  Emit("  \"scenarios\": [\n");
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    EmitScenario(scenarios[i], i == 0);
-  }
-  Emit("\n  ],\n");
-  Emit("  \"determinism\": {\"schedule_digest_stable\": %s, "
-       "\"empty_plan_equals_legacy\": %s},\n",
-       schedule_digest_stable ? "true" : "false",
-       empty_equals_baseline ? "true" : "false");
-  Emit("  \"integrity_demo\": {\"detected\": %s, "
-       "\"retry_matches_golden\": %s},\n",
-       demo.detected ? "true" : "false",
-       demo.retry_matches_golden ? "true" : "false");
-  Emit("  \"headline\": {\"name\": \"crash_recovery\", "
-       "\"baseline_tail_goodput_qps\": %.1f, "
-       "\"crash_tail_goodput_qps\": %.1f, \"recovery_ratio\": %.3f, "
-       "\"corrupted_detected_with_crc\": %lld, "
-       "\"corrupted_served_with_crc\": %lld, "
-       "\"corrupted_served_without_crc\": %lld}\n",
-       baseline.sim.tail_goodput_qps, crash.sim.tail_goodput_qps, recovery,
-       static_cast<long long>(crc_on.sim.chaos.corrupted_detected),
-       static_cast<long long>(crc_on.sim.chaos.corrupted_served),
-       static_cast<long long>(crc_off.sim.chaos.corrupted_served));
-  Emit("}\n");
-  std::fclose(g_json);
-  g_json = nullptr;
-  std::fprintf(stderr, "wrote %s\n", json_path.c_str());
+  std::printf("fleet_chaos: %d boards x 1000 QPS, 2800 QPS offered%s, "
+              "%zu arrivals over %.3f s, crash at %.3f s, tail from %.3f s\n",
+              kBoards, smoke ? " (smoke)" : "", trace.size(), duration,
+              crash_at, tail_start);
+  bench::BenchRows out("fleet_chaos");
+  out.Add("trace", "arrivals", trace.size(), "count", Better::kNeutral);
+  for (const Scenario& s : scenarios) AddScenario(out, s);
+  out.Add("determinism", "schedule_digest_mismatches",
+          schedule_digest_stable ? 0 : 1, "count", Better::kZero);
+  out.Add("determinism", "empty_plan_vs_baseline_mismatches",
+          empty_equals_baseline ? 0 : 1, "count", Better::kZero);
+  out.Add("integrity_demo", "undetected_faults", demo.detected ? 0 : 1,
+          "count", Better::kZero);
+  out.Add("integrity_demo", "retry_mismatches",
+          demo.retry_matches_golden ? 0 : 1, "count", Better::kZero);
+  out.Add("crash_recovery", "recovery_ratio", recovery, "x", Better::kHigher);
+  out.Print();
+  out.Write(json_path);
 
   int rc = 0;
   for (const Scenario& s : scenarios) {

@@ -29,17 +29,17 @@
 //   * headline — the portfolio fleet must reach >= 1.3x the naive fleet's
 //     sustained QPS or >= 1.3x its QPS per joule (it reaches both).
 //
-// JSON goes to stdout AND a file (default ./BENCH_fleet.json, override
-// with argv[1]). `--smoke` shortens the trace for CI.
+// Prints the rows and writes them as one BENCH file (default
+// ./BENCH_fleet.json, override with argv[1]). `--smoke` shortens the trace
+// for CI.
 #include <algorithm>
-#include <cstdarg>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "compiler/compiler.h"
+#include "bench_util.h"
 #include "compiler/weight_pack.h"
 #include "fleet/fleet.h"
 #include "fleet/portfolio.h"
@@ -51,18 +51,7 @@ using namespace hdnn;
 
 namespace {
 
-std::FILE* g_json = nullptr;
-
-void Emit(const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
-  va_list copy;
-  va_copy(copy, args);
-  std::vprintf(fmt, args);
-  if (g_json != nullptr) std::vfprintf(g_json, fmt, copy);
-  va_end(copy);
-  va_end(args);
-}
+using bench::Better;
 
 /// "3x vu9p/pi4po4pt4ni7 + 1x pynq-z1/..." — the plan as humans read it.
 std::string DescribePlan(const std::vector<BoardCandidate>& candidates,
@@ -92,36 +81,54 @@ double MeasureDeviceSeconds(const BoardCandidate& cand, const Model& model,
   return report.stats.total_cycles / (cand.spec.freq_mhz * 1e6);
 }
 
-void EmitFleetRows(const char* fleet, const PortfolioPlan& plan,
-                   const std::vector<BoardCandidate>& candidates,
-                   const std::vector<LatencyClass>& classes,
-                   const FleetSimResult& sim, bool& first) {
+/// Board label as it appears in row names: "vu9p-pi4po4pt4ni8".
+std::string BoardLabel(const BoardCandidate& cand) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "%s-pi%dpo%dpt%dni%d", cand.spec.name.c_str(),
+                cand.config.pi, cand.config.po, cand.config.pt, cand.config.ni);
+  return buf;
+}
+
+void AddFleetRows(bench::BenchRows& out, const std::string& fleet,
+                  const PortfolioPlan& plan,
+                  const std::vector<BoardCandidate>& candidates,
+                  const std::vector<LatencyClass>& classes,
+                  const FleetSimResult& sim) {
+  out.Add(fleet + "/plan", "boards", plan.boards.size(), "count",
+          Better::kNeutral);
+  out.Add(fleet + "/plan", "power_watts", plan.power_watts, "W",
+          Better::kNeutral);
+  out.Add(fleet + "/plan", "planned_qps", plan.planned_qps, "1/s",
+          Better::kHigher);
   for (std::size_t s = 0; s < sim.shards.size(); ++s) {
     const FleetShardStats& ss = sim.shards[s];
-    const BoardCandidate& cand =
-        candidates[static_cast<std::size_t>(ss.candidate_index)];
+    const std::string name =
+        fleet + "/shard" + std::to_string(s) + "/" +
+        BoardLabel(candidates[static_cast<std::size_t>(ss.candidate_index)]);
     double planned = 0;
     for (double q : plan.shard_class_qps[s]) planned += q;
-    Emit("%s    {\"name\": \"%s/shard%zu/%s-pi%dpo%dpt%dni%d\", "
-         "\"planned_qps\": %.1f, \"measured_qps\": %.1f, "
-         "\"utilization\": %.4f, \"energy_joules\": %.3f}",
-         first ? "" : ",\n", fleet, s, cand.spec.name.c_str(), cand.config.pi,
-         cand.config.po, cand.config.pt, cand.config.ni, planned,
-         ss.measured_qps, ss.utilization, ss.energy_joules);
-    first = false;
+    out.Add(name, "planned_qps", planned, "1/s", Better::kHigher);
+    out.Add(name, "measured_qps", ss.measured_qps, "1/s", Better::kHigher);
+    out.Add(name, "utilization", ss.utilization, "frac", Better::kNeutral);
+    out.Add(name, "energy_joules", ss.energy_joules, "J", Better::kNeutral);
   }
   for (std::size_t c = 0; c < classes.size(); ++c) {
     const FleetClassStats& cs = sim.classes[c];
-    Emit(",\n    {\"name\": \"%s/class/%s\", \"offered_qps\": %.1f, "
-         "\"achieved_qps\": %.1f, \"p50_ms\": %.4f, \"p99_ms\": %.4f, "
-         "\"shed_rate\": %.4f}",
-         fleet, classes[c].name.c_str(), classes[c].offered_qps,
-         cs.achieved_qps, cs.p50_ms, cs.p99_ms,
-         cs.submitted > 0
-             ? static_cast<double>(cs.rejected + cs.expired + cs.unroutable) /
-                   static_cast<double>(cs.submitted)
-             : 0);
+    const std::string name = fleet + "/class/" + classes[c].name;
+    out.Add(name, "offered_qps", classes[c].offered_qps, "1/s",
+            Better::kNeutral);
+    out.Add(name, "achieved_qps", cs.achieved_qps, "1/s", Better::kHigher);
+    out.Add(name, "p50_ms", cs.p50_ms, "ms", Better::kLower);
+    out.Add(name, "p99_ms", cs.p99_ms, "ms", Better::kLower);
+    out.Add(name, "shed_rate",
+            cs.submitted > 0 ? static_cast<double>(cs.rejected + cs.expired +
+                                                   cs.unroutable) /
+                                   static_cast<double>(cs.submitted)
+                             : 0,
+            "frac", Better::kLower);
   }
+  out.Add(fleet, "total_ok_qps", sim.total_ok_qps, "1/s", Better::kHigher);
+  out.Add(fleet, "qps_per_joule", sim.qps_per_joule, "1/J", Better::kHigher);
 }
 
 }  // namespace
@@ -135,11 +142,6 @@ int main(int argc, char** argv) {
     } else {
       json_path = argv[i];
     }
-  }
-  g_json = std::fopen(json_path.c_str(), "w");
-  if (g_json == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-    return 1;
   }
 
   const Model tiny = BuildTinyCnn();
@@ -238,66 +240,41 @@ int main(int argc, char** argv) {
           ? het_sim.qps_per_joule / naive_sim.qps_per_joule
           : 0;
 
-  Emit("{\n");
-  Emit("  \"models\": [\"%s\", \"%s\"],\n", tiny.name().c_str(),
-       resid.name().c_str());
-  Emit("  \"smoke\": %s,\n", smoke ? "true" : "false");
-  Emit("  \"power_budget_watts\": %.1f,\n", popts.power_budget_watts);
-  Emit("  \"candidates\": %zu,\n", candidates.size());
-  Emit("  \"trace_arrivals\": %zu,\n", trace.size());
-  Emit("  \"trace_seconds\": %.3f,\n", duration);
-  Emit("  \"classes\": [\n");
-  for (std::size_t c = 0; c < classes.size(); ++c) {
-    Emit("%s    {\"name\": \"%s\", \"model\": %d, \"deadline_ms\": %.1f, "
-         "\"offered_qps\": %.1f}",
-         c == 0 ? "" : ",\n", classes[c].name.c_str(), classes[c].model_index,
-         classes[c].deadline_seconds * 1e3, classes[c].offered_qps);
+  std::printf("fleet_qps: %s + %s under %.1f W%s, %zu candidates, %zu "
+              "arrivals over %.3f s\n",
+              tiny.name().c_str(), resid.name().c_str(),
+              popts.power_budget_watts, smoke ? " (smoke)" : "",
+              candidates.size(), trace.size(), duration);
+  std::printf("naive     plan: %s\n", DescribePlan(candidates, naive).c_str());
+  std::printf("portfolio plan: %s\n", DescribePlan(candidates, het).c_str());
+
+  bench::BenchRows out("fleet");
+  out.Add("trace", "candidates", candidates.size(), "count",
+          Better::kNeutral);
+  out.Add("trace", "arrivals", trace.size(), "count", Better::kNeutral);
+  for (const ValidationRow& v : validation) {
+    const std::string name =
+        "validation/" +
+        BoardLabel(candidates[static_cast<std::size_t>(v.cand)]) + "/" +
+        models[static_cast<std::size_t>(v.model)]->name();
+    out.Add(name, "estimated_item_ms", v.est_s * 1e3, "ms", Better::kNeutral);
+    out.Add(name, "simulated_item_ms", v.sim_s * 1e3, "ms", Better::kLower);
+    out.Add(name, "est_over_sim", v.sim_s > 0 ? v.est_s / v.sim_s : 0, "x",
+            Better::kNeutral);
   }
-  Emit("\n  ],\n");
-  Emit("  \"plans\": {\n");
-  Emit("    \"naive\": {\"mix\": \"%s\", \"boards\": %zu, "
-       "\"power_watts\": %.2f, \"planned_qps\": %.1f},\n",
-       DescribePlan(candidates, naive).c_str(), naive.boards.size(),
-       naive.power_watts, naive.planned_qps);
-  Emit("    \"portfolio\": {\"mix\": \"%s\", \"boards\": %zu, "
-       "\"power_watts\": %.2f, \"planned_qps\": %.1f}\n",
-       DescribePlan(candidates, het).c_str(), het.boards.size(),
-       het.power_watts, het.planned_qps);
-  Emit("  },\n");
-  Emit("  \"latency_validation\": [\n");
-  for (std::size_t i = 0; i < validation.size(); ++i) {
-    const ValidationRow& v = validation[i];
-    const BoardCandidate& cand =
-        candidates[static_cast<std::size_t>(v.cand)];
-    Emit("%s    {\"board\": \"%s-pi%dpo%dpt%dni%d\", \"model\": \"%s\", "
-         "\"estimated_item_ms\": %.4f, \"simulated_item_ms\": %.4f, "
-         "\"est_over_sim\": %.3f}",
-         i == 0 ? "" : ",\n", cand.spec.name.c_str(), cand.config.pi,
-         cand.config.po, cand.config.pt, cand.config.ni,
-         models[static_cast<std::size_t>(v.model)]->name().c_str(),
-         v.est_s * 1e3, v.sim_s * 1e3, v.sim_s > 0 ? v.est_s / v.sim_s : 0);
-  }
-  Emit("\n  ],\n");
-  Emit("  \"shards\": [\n");
-  bool first = true;
-  EmitFleetRows("portfolio", het, candidates, classes, het_sim, first);
-  EmitFleetRows("naive", naive, candidates, classes, naive_sim, first);
-  Emit("\n  ],\n");
-  Emit("  \"determinism\": {\"plan_stable_across_threads\": %s, "
-       "\"decisions_stable\": %s, \"decisions\": %zu},\n",
-       plan_stable ? "true" : "false", decisions_stable ? "true" : "false",
-       het_sim.decisions.size());
-  Emit("  \"headline\": {\"name\": \"portfolio_vs_naive\", "
-       "\"naive_qps\": %.1f, \"portfolio_qps\": %.1f, "
-       "\"qps_ratio\": %.3f, "
-       "\"naive_qps_per_joule\": %.1f, \"portfolio_qps_per_joule\": %.1f, "
-       "\"qps_per_joule_ratio\": %.3f}\n",
-       naive_sim.total_ok_qps, het_sim.total_ok_qps, qps_ratio,
-       naive_sim.qps_per_joule, het_sim.qps_per_joule, qpj_ratio);
-  Emit("}\n");
-  std::fclose(g_json);
-  g_json = nullptr;
-  std::fprintf(stderr, "wrote %s\n", json_path.c_str());
+  AddFleetRows(out, "portfolio", het, candidates, classes, het_sim);
+  AddFleetRows(out, "naive", naive, candidates, classes, naive_sim);
+  out.Add("determinism", "plan_mismatches", plan_stable ? 0 : 1, "count",
+          Better::kZero);
+  out.Add("determinism", "replay_mismatches", decisions_stable ? 0 : 1,
+          "count", Better::kZero);
+  out.Add("determinism", "decisions", het_sim.decisions.size(), "count",
+          Better::kNeutral);
+  out.Add("portfolio_vs_naive", "qps_ratio", qps_ratio, "x", Better::kHigher);
+  out.Add("portfolio_vs_naive", "qps_per_joule_ratio", qpj_ratio, "x",
+          Better::kHigher);
+  out.Print();
+  out.Write(json_path);
 
   if (!plan_stable || !decisions_stable) {
     std::fprintf(stderr,

@@ -3,8 +3,8 @@
 // the functional memory datapath (LOAD/SAVE stages + DramModel block ops),
 // and batch serving through the InferenceEngine.
 //
-// Prints a human-readable table and writes three JSON documents so CI can
-// track the performance trajectory:
+// Prints a human-readable table and writes three BENCH files (the row
+// format of bench_util.h) so CI can track the performance trajectory:
 //   * BENCH_sim_comp.json     (argv[1]) — COMP-dominated rows + serving;
 //   * BENCH_sim_loadsave.json (argv[2]) — memory-bound rows: early convs,
 //     FC weight streaming, residual SAVEs, pooled SAVEs, raw block copies;
@@ -13,11 +13,10 @@
 //     words moved per inference alongside the throughput figures.
 // Output paths are all-or-nothing: pass zero paths (the defaults above) or
 // exactly three, so a stale invocation can never silently skip an artifact.
-// Two throughput domains per row:
-//   * items_per_s  — host wall-clock rate (machine-dependent; this is what
-//     the flat-scratch / bulk-span datapath optimisations move);
-//   * sim_gops     — modeled accelerator throughput of the same run
-//     (deterministic; must NOT move under host-side optimisation).
+// Per row, items_per_s is the host wall-clock rate (machine-dependent; what
+// host-side datapath optimisations move), while sim_gops and dram_words
+// describe the modeled accelerator run (deterministic; must NOT move under
+// host-side optimisation).
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -118,33 +117,23 @@ void PrintRow(const BenchRow& r) {
               static_cast<long long>(r.iters), r.seconds);
 }
 
-void WriteJson(const char* path, const char* bench_name, const FpgaSpec& spec,
-               const AccelConfig& cfg, const std::vector<BenchRow>& rows) {
-  std::FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"platform\": \"%s\",\n",
-               bench_name, spec.name.c_str());
-  std::fprintf(f, "  \"config\": \"%s\",\n", cfg.ToString().c_str());
-  std::fprintf(f, "  \"rows\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const BenchRow& r = rows[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"items_per_s\": %.3f, "
-                 "\"sim_gops\": %.3f, \"iters\": %lld, \"seconds\": %.4f",
-                 r.name.c_str(), r.items_per_s, r.sim_gops,
-                 static_cast<long long>(r.iters), r.seconds);
-    if (r.dram_words >= 0) {
-      std::fprintf(f, ", \"dram_words\": %lld",
-                   static_cast<long long>(r.dram_words));
+/// Writes `rows` as one BENCH file: items/s per row, plus the modeled GOPS
+/// and DRAM words where the row has them.
+void WriteRows(const char* path, const char* bench_name,
+               const std::vector<BenchRow>& rows) {
+  bench::BenchRows out(bench_name);
+  for (const BenchRow& r : rows) {
+    out.Add(r.name, "items_per_s", r.items_per_s, "1/s",
+            bench::Better::kHigher);
+    if (r.sim_gops > 0) {
+      out.Add(r.name, "sim_gops", r.sim_gops, "GOPS", bench::Better::kHigher);
     }
-    std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
+    if (r.dram_words >= 0) {
+      out.Add(r.name, "dram_words", r.dram_words, "words",
+              bench::Better::kLower);
+    }
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
+  out.Write(path);
 }
 
 /// Memory-bound workloads for the LOAD/SAVE stage trajectory: the functional
@@ -322,6 +311,8 @@ int main(int argc, char** argv) {
   const AccelConfig cfg = bench::PynqDesignPoint();
 
   std::vector<BenchRow> rows;
+  std::printf("micro_kernels on %s, %s\n", spec.name.c_str(),
+              cfg.ToString().c_str());
   std::printf("micro_kernels: simulator COMP datapath + serving benchmarks\n");
   bench::PrintRule();
 
@@ -473,9 +464,8 @@ int main(int argc, char** argv) {
   }
   bench::PrintRule();
 
-  // --- JSON artifacts ---
-  WriteJson(out_path, "sim_comp", spec, cfg, rows);
-  WriteJson(ldsv_path, "sim_loadsave", spec, cfg, ldsv_rows);
-  WriteJson(fusion_path, "sim_fusion", spec, cfg, fusion_rows);
+  WriteRows(out_path, "sim_comp", rows);
+  WriteRows(ldsv_path, "sim_loadsave", ldsv_rows);
+  WriteRows(fusion_path, "sim_fusion", fusion_rows);
   return 0;
 }

@@ -8,12 +8,12 @@
 // between the simulator and the quantized golden reference; any mismatch
 // fails the bench.
 //
-// The JSON goes to stdout AND to a file (default ./BENCH_quant_error.json,
-// override with argv[1]); pass --smoke for the CI-sized run (fewer
-// calibration batches and eval inputs; scales barely move, the checks are
-// identical).
+// Prints the rows and writes them as one BENCH file (default
+// ./BENCH_quant_error.json, override with argv[1]): end-to-end rows are
+// named "<model>/<point>", per-layer rows "<model>/<point>/<layer>". Pass
+// --smoke for the CI-sized run (fewer calibration batches and eval inputs;
+// scales barely move, the checks are identical).
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -32,20 +32,6 @@
 using namespace hdnn;
 
 namespace {
-
-std::FILE* g_json = nullptr;
-
-/// printf to stdout and, when open, the JSON artifact file.
-void Emit(const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
-  va_list copy;
-  va_copy(copy, args);
-  std::vprintf(fmt, args);
-  if (g_json != nullptr) std::vfprintf(g_json, fmt, copy);
-  va_end(copy);
-  va_end(args);
-}
 
 /// Error of one quantized tensor against its FP32 reference, accumulated
 /// across eval inputs.
@@ -140,11 +126,6 @@ int main(int argc, char** argv) {
       json_path = argv[i];
     }
   }
-  g_json = std::fopen(json_path.c_str(), "w");
-  if (g_json == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-    return 1;
-  }
   const FpgaSpec& spec = PynqZ1Spec();
   const AccelConfig cfg = bench::PynqDesignPoint();
   const int calib_batches = smoke ? 2 : 8;
@@ -153,15 +134,19 @@ int main(int argc, char** argv) {
   const Model models[] = {BuildTinyCnn(), BuildVgg16Style(32, 4),
                           BuildResNet18Scaled(64, 4)};
 
-  Emit("{\n");
-  Emit("  \"bench\": \"quant_error\",\n");
-  Emit("  \"platform\": \"%s\",\n", spec.name.c_str());
-  Emit("  \"smoke\": %s,\n", smoke ? "true" : "false");
-  Emit("  \"calib_batches\": %d,\n", calib_batches);
-  Emit("  \"eval_batches\": %d,\n", eval_batches);
-  Emit("  \"models\": [\n");
-
-  bool first_model = true;
+  std::printf("quant_error on %s: %d calibration, %d eval inputs\n",
+              spec.name.c_str(), calib_batches, eval_batches);
+  using bench::Better;
+  bench::BenchRows out("quant_error");
+  // sqnr_db / rmse / max_abs of one tensor (or the model output).
+  const auto add_error = [&out](const std::string& name, const char* prefix,
+                                double sqnr_db, double rmse, double max_abs) {
+    out.Add(name, std::string(prefix) + "sqnr_db", sqnr_db, "dB",
+            Better::kHigher);
+    out.Add(name, std::string(prefix) + "rmse", rmse, "fp32", Better::kLower);
+    out.Add(name, std::string(prefix) + "max_abs", max_abs, "fp32",
+            Better::kLower);
+  };
   for (const Model& model : models) {
     const std::vector<LayerMapping> mapping(
         static_cast<std::size_t>(model.num_layers()),
@@ -194,34 +179,20 @@ int main(int argc, char** argv) {
         EvalConfig("calibrated", model, cfg, spec, mapping, calibrated,
                    weightsF, eval_inputs, fp32_acts)};
 
-    Emit("%s    {\n", first_model ? "" : ",\n");
-    first_model = false;
-    Emit("      \"model\": \"%s\",\n", model.name().c_str());
-    Emit("      \"sqnr_gain_db\": %.3f,\n",
-         reports[1].e2e_sqnr_db - reports[0].e2e_sqnr_db);
-    Emit("      \"configs\": [\n");
-    for (std::size_t c = 0; c < 2; ++c) {
-      const ConfigReport& r = reports[c];
-      Emit("        {\n");
-      Emit("          \"name\": \"%s\",\n", r.name.c_str());
-      Emit("          \"e2e_sqnr_db\": %.3f,\n", r.e2e_sqnr_db);
-      Emit("          \"e2e_rmse\": %.6g,\n", r.e2e_rmse);
-      Emit("          \"e2e_max_abs\": %.6g,\n", r.e2e_max_abs);
-      Emit("          \"layers\": [\n");
+    out.Add(model.name(), "sqnr_gain_db",
+            reports[1].e2e_sqnr_db - reports[0].e2e_sqnr_db, "dB",
+            Better::kHigher);
+    for (const ConfigReport& r : reports) {
+      const std::string point = model.name() + "/" + r.name;
+      add_error(point, "e2e_", r.e2e_sqnr_db, r.e2e_rmse, r.e2e_max_abs);
       for (int i = 0; i < model.num_layers(); ++i) {
         const ErrorAccum& a = r.layers[static_cast<std::size_t>(i)];
-        Emit("            {\"layer\": \"%s\", \"sqnr_db\": %.3f, "
-             "\"rmse\": %.6g, \"max_abs\": %.6g}%s\n",
-             model.layer(i).name.c_str(), a.sqnr_db(), a.rmse(), a.max_abs,
-             i + 1 < model.num_layers() ? "," : "");
+        add_error(point + "/" + model.layer(i).name, "", a.sqnr_db(), a.rmse(),
+                  a.max_abs);
       }
-      Emit("          ]\n");
-      Emit("        }%s\n", c == 0 ? "," : "");
     }
-    Emit("      ]\n");
-    Emit("    }");
   }
-  Emit("\n  ]\n}\n");
-  std::fclose(g_json);
+  out.Print();
+  out.Write(json_path);
   return 0;
 }

@@ -23,11 +23,12 @@
 // functional mode twice and against sequential Runtime execution; any
 // mismatch in batch composition or output bits exits non-zero.
 //
-// JSON goes to stdout AND a file (default ./BENCH_serve_latency.json,
-// override with argv[1]). `--smoke` shortens every cell for CI.
+// Prints one line per cell and writes the rows as one BENCH file (default
+// ./BENCH_serve_latency.json, override with argv[1]). A cell's name is its
+// sweep and coordinates, e.g. "batcher/poisson/w4/x2.0/mb8/d1.0".
+// `--smoke` shortens every cell for CI.
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <cstring>
 #include <future>
@@ -44,22 +45,9 @@
 #include "runtime/server.h"
 
 using namespace hdnn;
+using bench::Better;
 
 namespace {
-
-std::FILE* g_json = nullptr;
-
-/// printf to stdout and, when open, the JSON artifact file.
-void Emit(const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
-  va_list copy;
-  va_copy(copy, args);
-  std::vprintf(fmt, args);
-  if (g_json != nullptr) std::vfprintf(g_json, fmt, copy);
-  va_end(copy);
-  va_end(args);
-}
 
 /// Exponential interarrival with the given rate (inverse CDF; u in (0,1]).
 double ExpInterarrival(Prng& prng, double rate) {
@@ -174,24 +162,27 @@ CellResult RunCell(InferenceEngine& engine, const Model& model,
   return out;
 }
 
-void EmitCell(bool& first, const char* pattern, int workers,
-              double offered_ratio, double offered_qps,
-              const ServerOptions& opts, const CellResult& r) {
-  std::fprintf(stderr,
-               "cell %s w=%d ratio=%.1f mb=%d: achieved=%.0f p99=%.2fms "
-               "shed=%.3f\n",
-               pattern, workers, offered_ratio, opts.max_batch, r.achieved_qps,
-               r.p99_ms, r.shed_rate);
-  Emit("%s    {\"pattern\": \"%s\", \"workers\": %d, "
-       "\"offered_ratio\": %.2f, \"offered_qps\": %.1f, "
-       "\"max_batch\": %d, \"max_queue_delay_ms\": %.2f, \"reqs\": %d, "
-       "\"achieved_qps\": %.1f, \"p50_ms\": %.4f, \"p99_ms\": %.4f, "
-       "\"p999_ms\": %.4f, \"mean_batch\": %.2f, \"shed_rate\": %.4f}",
-       first ? "" : ",\n", pattern, workers, offered_ratio, offered_qps,
-       opts.max_batch, opts.max_queue_delay_seconds * 1e3, r.reqs,
-       r.achieved_qps, r.p50_ms, r.p99_ms, r.p999_ms, r.mean_batch,
-       r.shed_rate);
-  first = false;
+/// Prints one cell and adds its rows under
+/// "<sweep>/<pattern>/w<workers>/x<ratio>/mb<max_batch>/d<delay ms>".
+void AddCell(bench::BenchRows& out, const char* sweep, const char* pattern,
+             int workers, double offered_ratio, double offered_qps,
+             const ServerOptions& opts, const CellResult& r) {
+  char name[96];
+  std::snprintf(name, sizeof(name), "%s/%s/w%d/x%.1f/mb%d/d%.1f", sweep,
+                pattern, workers, offered_ratio, opts.max_batch,
+                opts.max_queue_delay_seconds * 1e3);
+  std::printf("%-34s %6d reqs %9.1f qps  p50 %7.3f  p99 %7.3f  p999 %7.3f ms"
+              "  batch %5.2f  shed %.3f\n",
+              name, r.reqs, r.achieved_qps, r.p50_ms, r.p99_ms, r.p999_ms,
+              r.mean_batch, r.shed_rate);
+  out.Add(name, "offered_qps", offered_qps, "1/s", Better::kNeutral);
+  out.Add(name, "reqs", r.reqs, "count", Better::kNeutral);
+  out.Add(name, "achieved_qps", r.achieved_qps, "1/s", Better::kHigher);
+  out.Add(name, "p50_ms", r.p50_ms, "ms", Better::kLower);
+  out.Add(name, "p99_ms", r.p99_ms, "ms", Better::kLower);
+  out.Add(name, "p999_ms", r.p999_ms, "ms", Better::kLower);
+  out.Add(name, "mean_batch", r.mean_batch, "count", Better::kNeutral);
+  out.Add(name, "shed_rate", r.shed_rate, "frac", Better::kLower);
 }
 
 /// Deterministic check: fixed trace, functional mode, run twice; batch
@@ -250,11 +241,6 @@ int main(int argc, char** argv) {
       json_path = argv[i];
     }
   }
-  g_json = std::fopen(json_path.c_str(), "w");
-  if (g_json == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-    return 1;
-  }
 
   const FpgaSpec& spec = PynqZ1Spec();
   const Model model = BuildTinyCnn();
@@ -284,18 +270,16 @@ int main(int argc, char** argv) {
   const double duration = smoke ? 0.12 : 0.60;
   const double deadline_s = 0.020;
 
-  Emit("{\n");
-  Emit("  \"model\": \"%s\",\n", model.name().c_str());
-  Emit("  \"platform\": \"%s\",\n", spec.name.c_str());
-  Emit("  \"config\": \"%s\",\n", dse.config.ToString().c_str());
-  Emit("  \"mode\": \"device_paced\",\n");
-  Emit("  \"smoke\": %s,\n", smoke ? "true" : "false");
-  Emit("  \"device_ms_per_item\": %.4f,\n", device_seconds * 1e3);
-  Emit("  \"capacity_qps_1worker\": %.1f,\n", capacity_qps);
-  Emit("  \"deadline_ms\": %.1f,\n", deadline_s * 1e3);
-  Emit("  \"cells\": [\n");
-
-  bool first = true;
+  std::printf("serve_latency: %s on %s, %s, device-paced%s, deadline %.1f "
+              "ms\n",
+              model.name().c_str(), spec.name.c_str(),
+              dse.config.ToString().c_str(), smoke ? " (smoke)" : "",
+              deadline_s * 1e3);
+  bench::BenchRows out("serve_latency");
+  out.Add(model.name(), "device_ms_per_item", device_seconds * 1e3, "ms",
+          Better::kLower);
+  out.Add(model.name(), "capacity_qps_1worker", capacity_qps, "1/s",
+          Better::kHigher);
   double achieved_1w_at_3x = 0, achieved_4w_at_3x = 0;
 
   // --- offered-load sweep: Poisson, default batcher ---
@@ -315,7 +299,7 @@ int main(int argc, char** argv) {
           42 + static_cast<std::uint64_t>(100 * ratio) + workers);
       const CellResult r = RunCell(engine, model, dse.config, dse.mapping,
                                    weights, input, opts, schedule, deadline_s);
-      EmitCell(first, "poisson", workers, ratio, offered, opts, r);
+      AddCell(out, "load", "poisson", workers, ratio, offered, opts, r);
       if (ratio == 3.0 && workers == 1) achieved_1w_at_3x = r.achieved_qps;
       if (ratio == 3.0 && workers == 4) achieved_4w_at_3x = r.achieved_qps;
     }
@@ -340,7 +324,7 @@ int main(int argc, char** argv) {
                                        7000 + s.max_batch);
     const CellResult r = RunCell(engine, model, dse.config, dse.mapping,
                                  weights, input, opts, schedule, deadline_s);
-    EmitCell(first, "poisson", 4, 2.0, offered, opts, r);
+    AddCell(out, "batcher", "poisson", 4, 2.0, offered, opts, r);
   }
 
   // --- bursty arrivals at 2 x C1 ---
@@ -356,33 +340,24 @@ int main(int argc, char** argv) {
         MakeSchedule("bursty", offered, duration, 5000 + workers);
     const CellResult r = RunCell(engine, model, dse.config, dse.mapping,
                                  weights, input, opts, schedule, deadline_s);
-    EmitCell(first, "bursty", workers, 2.0, offered, opts, r);
+    AddCell(out, "burst", "bursty", workers, 2.0, offered, opts, r);
   }
-  Emit("\n  ],\n");
 
   // --- deterministic replay check ---
   std::vector<int> det_batches;
   const bool det_ok = VerifyDeterminism(engine, model, dse.config, dse.mapping,
                                         weights, &det_batches);
-  Emit("  \"determinism\": {\"functional_match\": %s, \"batch_sizes\": [",
-       det_ok ? "true" : "false");
-  for (std::size_t i = 0; i < det_batches.size(); ++i) {
-    Emit("%s%d", i == 0 ? "" : ", ", det_batches[i]);
-  }
-  Emit("]},\n");
+  std::printf("deterministic replay batches:");
+  for (int size : det_batches) std::printf(" %d", size);
+  std::printf("  (%s)\n", det_ok ? "match" : "MISMATCH");
+  out.Add("replay", "functional_mismatches", det_ok ? 0 : 1, "count",
+          Better::kZero);
 
   // --- headline: host-side wall-clock scaling of the front door ---
-  const double scaling = achieved_1w_at_3x > 0
-                             ? achieved_4w_at_3x / achieved_1w_at_3x
-                             : 0;
-  Emit("  \"headline\": {\"offered_ratio\": 3.0, "
-       "\"achieved_qps_1w\": %.1f, \"achieved_qps_4w\": %.1f, "
-       "\"scaling_4v1\": %.3f}\n",
-       achieved_1w_at_3x, achieved_4w_at_3x, scaling);
-  Emit("}\n");
-  std::fclose(g_json);
-  g_json = nullptr;
-  std::fprintf(stderr, "wrote %s\n", json_path.c_str());
+  out.Add("load/poisson/x3.0", "scaling_4v1",
+          achieved_1w_at_3x > 0 ? achieved_4w_at_3x / achieved_1w_at_3x : 0,
+          "x", Better::kHigher);
+  out.Write(json_path);
   if (!det_ok) {
     std::fprintf(stderr, "FAIL: deterministic replay mismatch\n");
     return 2;

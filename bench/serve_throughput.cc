@@ -1,5 +1,5 @@
 // Batch-serving throughput of the InferenceEngine: sweeps batch size x
-// worker count on the quickstart CNN and prints one JSON document.
+// worker count on the quickstart CNN.
 //
 // Two throughput domains are reported per cell:
 //   * host_items_per_s — wall-clock serving rate of this process (machine-
@@ -8,10 +8,8 @@
 //     workers as W parallel instances (paper Table 4 "effective" style);
 //     deterministic, so the speedup-vs-1-worker column is exact.
 //
-// The JSON goes to stdout AND to a file (default ./BENCH_serve_throughput.json,
-// override with argv[1]) so CI can upload it alongside the other BENCH_*.json
-// artifacts.
-#include <cstdarg>
+// Prints the rows and writes them as one BENCH file (default
+// ./BENCH_serve_throughput.json, override with argv[1]).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -23,33 +21,11 @@
 #include "runtime/engine.h"
 
 using namespace hdnn;
-
-namespace {
-
-std::FILE* g_json = nullptr;
-
-/// printf to stdout and, when open, the JSON artifact file.
-void Emit(const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
-  va_list copy;
-  va_copy(copy, args);
-  std::vprintf(fmt, args);
-  if (g_json != nullptr) std::vfprintf(g_json, fmt, copy);
-  va_end(copy);
-  va_end(args);
-}
-
-}  // namespace
+using bench::Better;
 
 int main(int argc, char** argv) {
   const std::string json_path =
       argc > 1 ? argv[1] : "BENCH_serve_throughput.json";
-  g_json = std::fopen(json_path.c_str(), "w");
-  if (g_json == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-    return 1;
-  }
   const FpgaSpec& spec = PynqZ1Spec();
   const Model model = BuildTinyCnn();
 
@@ -75,15 +51,11 @@ int main(int argc, char** argv) {
   // deterministic, so repetition only de-noises the host_* fields.
   const int kReps = 3;
 
-  Emit("{\n");
-  Emit("  \"model\": \"%s\",\n", model.name().c_str());
-  Emit("  \"platform\": \"%s\",\n", spec.name.c_str());
-  Emit("  \"config\": \"%s\",\n", dse.config.ToString().c_str());
-  Emit("  \"total_gop_per_item\": %.6f,\n",
-       static_cast<double>(model.TotalOps()) / 1e9);
-  Emit("  \"cells\": [\n");
-
-  bool first_cell = true;
+  std::printf("serve_throughput: %s on %s, %s\n", model.name().c_str(),
+              spec.name.c_str(), dse.config.ToString().c_str());
+  bench::BenchRows out("serve_throughput");
+  out.Add(model.name(), "total_gop_per_item",
+          static_cast<double>(model.TotalOps()) / 1e9, "GOP", Better::kNeutral);
   // One engine per worker count so the program cache is also exercised:
   // every batch size after the first must be a cache hit.
   for (int workers : worker_counts) {
@@ -99,18 +71,18 @@ int main(int argc, char** argv) {
         again.cache_hit = r.cache_hit;  // first rep's compile status
         if (again.items_per_second > r.items_per_second) r = std::move(again);
       }
-      Emit("%s    {\"workers\": %d, \"batch\": %d, \"reps\": %d, "
-           "\"wall_seconds\": %.6f, \"host_items_per_s\": %.2f, "
-           "\"sim_makespan_ms\": %.4f, "
-           "\"aggregate_effective_gops\": %.3f, "
-           "\"program_cache_hit\": %s}",
-           first_cell ? "" : ",\n", workers, batch, kReps, r.wall_seconds,
-           r.items_per_second, r.sim_makespan_seconds * 1e3,
-           r.aggregate_effective_gops, r.cache_hit ? "true" : "false");
-      first_cell = false;
+      char cell[32];
+      std::snprintf(cell, sizeof(cell), "w%d/b%d", workers, batch);
+      out.Add(cell, "host_items_per_s", r.items_per_second, "1/s",
+              Better::kHigher);
+      out.Add(cell, "sim_makespan_ms", r.sim_makespan_seconds * 1e3, "ms",
+              Better::kLower);
+      out.Add(cell, "aggregate_effective_gops", r.aggregate_effective_gops,
+              "GOPS", Better::kHigher);
+      out.Add(cell, "program_cache_misses", r.cache_hit ? 0 : 1, "count",
+              Better::kLower);
     }
   }
-  Emit("\n  ],\n");
 
   // Headline: aggregate throughput at the largest batch, 4 workers vs 1.
   double gops_w1 = 0, gops_w4 = 0;
@@ -124,14 +96,12 @@ int main(int argc, char** argv) {
     gops_w4 = e4.ExecuteBatch(model, dse.config, dse.mapping, weights, inputs)
                   .aggregate_effective_gops;
   }
-  Emit("  \"headline\": {\"batch\": %d, "
-       "\"gops_1_worker\": %.3f, \"gops_4_workers\": %.3f, "
-       "\"speedup_4v1\": %.3f}\n",
-       kMaxBatch, gops_w1, gops_w4, gops_w4 / gops_w1);
-  Emit("}\n");
-  std::fclose(g_json);
-  g_json = nullptr;
-  // stderr: stdout must stay a single parseable JSON document.
-  std::fprintf(stderr, "wrote %s\n", json_path.c_str());
+  char headline[32];
+  std::snprintf(headline, sizeof(headline), "b%d", kMaxBatch);
+  out.Add(headline, "gops_1_worker", gops_w1, "GOPS", Better::kHigher);
+  out.Add(headline, "gops_4_workers", gops_w4, "GOPS", Better::kHigher);
+  out.Add(headline, "speedup_4v1", gops_w4 / gops_w1, "x", Better::kHigher);
+  out.Print();
+  out.Write(json_path);
   return 0;
 }

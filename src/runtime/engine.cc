@@ -11,18 +11,6 @@
 
 namespace hdnn {
 
-namespace {
-
-inline void HashMix(std::uint64_t& h, std::uint64_t v) {
-  // FNV-1a over the 8 bytes of v.
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ull;
-  }
-}
-
-}  // namespace
-
 double HostItemsPerSecond(std::size_t items, double wall_seconds) {
   if (items == 0) return 0;
   // The smallest interval steady_clock can represent: a measured wall time
@@ -74,15 +62,7 @@ std::size_t InferenceEngine::CacheKeyHash::operator()(
     const CacheKey& key) const {
   std::uint64_t h = key.structural_hash;
   HashMix(h, key.quant_fingerprint);
-  HashMix(h, static_cast<std::uint64_t>(key.cfg.pi));
-  HashMix(h, static_cast<std::uint64_t>(key.cfg.po));
-  HashMix(h, static_cast<std::uint64_t>(key.cfg.pt));
-  HashMix(h, static_cast<std::uint64_t>(key.cfg.ni));
-  HashMix(h, static_cast<std::uint64_t>(key.cfg.data_width));
-  HashMix(h, static_cast<std::uint64_t>(key.cfg.wgt_width));
-  HashMix(h, static_cast<std::uint64_t>(key.cfg.input_buffer_vectors));
-  HashMix(h, static_cast<std::uint64_t>(key.cfg.weight_buffer_vectors));
-  HashMix(h, static_cast<std::uint64_t>(key.cfg.output_buffer_vectors));
+  HashMix(h, AccelConfigHashValue(key.cfg));
   return static_cast<std::size_t>(h);
 }
 

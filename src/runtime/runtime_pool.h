@@ -23,17 +23,27 @@
 
 namespace hdnn {
 
-/// FNV-1a fingerprint of every AccelConfig field (tracked by the
-/// sizeof tripwire in test_engine's cache-key audit, which exercises this
-/// hash through the engine's CacheKeyHash).
+/// One FNV-1a step: folds the 8 bytes of `v` into `h`. The runtime's
+/// hashes (config, model structure, compile-cache key) all use it.
+inline void HashMix(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ull;
+  }
+}
+
+/// FNV-1a fingerprint of every AccelConfig field. The sizeof tripwire in
+/// test_engine's cache-key audit guards this list.
 std::uint64_t AccelConfigHashValue(const AccelConfig& cfg);
 
 class RuntimePool {
  public:
-  /// `max_idle_per_config` bounds how many returned Runtimes are retained
-  /// per config for reuse; surplus returns are destroyed (the pool never
-  /// bounds *checkouts* — a burst of callers simply builds fresh Runtimes).
-  explicit RuntimePool(const FpgaSpec& spec, int max_idle_per_config = 16);
+  /// At most this many returned Runtimes are retained per config for
+  /// reuse; surplus returns are destroyed (the pool never bounds
+  /// *checkouts* — a burst of callers simply builds fresh Runtimes).
+  static constexpr int kMaxIdlePerConfig = 16;
+
+  explicit RuntimePool(const FpgaSpec& spec) : spec_(spec) {}
 
   RuntimePool(const RuntimePool&) = delete;
   RuntimePool& operator=(const RuntimePool&) = delete;
@@ -89,7 +99,6 @@ class RuntimePool {
   };
 
   FpgaSpec spec_;
-  int max_idle_per_config_;
   mutable std::mutex mu_;
   std::unordered_map<AccelConfig, std::vector<std::unique_ptr<Runtime>>,
                      ConfigHash>

@@ -318,9 +318,8 @@ void InferenceServer::RunBatch(ModelState& ms,
         // served, and inference is pure, so re-executing in place is safe.
         for (int attempt = 0;; ++attempt) {
           try {
-            run = lease->Execute(
-                ms.model, *ms.compiled, ms.weights, batch[k].value.input,
-                /*functional=*/options_.mode == ExecMode::kFunctional);
+            run = lease->Execute(ms.model, *ms.compiled, ms.weights,
+                                 batch[k].value.input);
             executed = true;
             break;
           } catch (const IntegrityError&) {
@@ -479,10 +478,8 @@ InferenceServer::TraceReport InferenceServer::ServeTrace(
       } else {
         const TraceArrival& a =
             trace[static_cast<std::size_t>(batch[k].value.trace_index)];
-        r.run = lease->Execute(
-            ms.model, *ms.compiled, ms.weights,
-            inputs[static_cast<std::size_t>(a.input_index)],
-            /*functional=*/options_.mode == ExecMode::kFunctional);
+        r.run = lease->Execute(ms.model, *ms.compiled, ms.weights,
+                               inputs[static_cast<std::size_t>(a.input_index)]);
       }
     }
     drainer_free =

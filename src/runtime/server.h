@@ -17,7 +17,6 @@
 //     bit-identical to a sequential Runtime::Execute of the same input:
 //     each item is one Execute on a pooled Runtime, and Runtime reuse is
 //     bit-invisible (DESIGN.md Sec. 4).
-//   * kTimingOnly  — cycle simulation per item, no arithmetic or outputs.
 //   * kDevicePaced — hardware-in-the-loop emulation for load testing: the
 //     per-item modeled accelerator latency is profiled once per registered
 //     model (deterministic — simulated time is input-independent), and
@@ -72,7 +71,7 @@ struct ItemReport {
   RunReport run;               ///< full report (+output) outside kDevicePaced
 };
 
-enum class ExecMode { kFunctional, kTimingOnly, kDevicePaced };
+enum class ExecMode { kFunctional, kDevicePaced };
 
 struct ServerOptions {
   int num_workers = 1;

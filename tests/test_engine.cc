@@ -283,10 +283,11 @@ TEST(InferenceEngineTest, EmptyBatchIsANoOp) {
 // the base entry.
 TEST(InferenceEngineTest, CacheKeyCoversEveryAccelConfigField) {
   // Compile-time tripwire: if AccelConfig grows a field, this sizeof
-  // changes — update CacheKeyHash in engine.cc AND the mutation list below,
-  // then adjust the expected size.
+  // changes — update AccelConfigHashValue in runtime_pool.cc (the one
+  // config hash; CacheKeyHash calls it) AND the mutation list below, then
+  // adjust the expected size.
   static_assert(sizeof(AccelConfig) == 9 * sizeof(int),
-                "AccelConfig changed: audit InferenceEngine::CacheKeyHash "
+                "AccelConfig changed: audit AccelConfigHashValue "
                 "and this test's mutation list");
 
   const Model model = BuildTinyCnn();

@@ -585,9 +585,13 @@ TEST(InferenceServerTest, StopResolvesEveryOutstandingFuture) {
   std::vector<std::future<ItemReport>> futures;
   const int kRequests = 12;
   for (int i = 0; i < kRequests; ++i) {
-    // Every third request gets a deadline one device quantum out — far too
+    // Every fourth request gets a deadline one device quantum out — far too
     // tight once it sits behind the backlog — the rest are unconstrained.
-    const double deadline = (i % 3 == 2) ? 1.0 * dev : kNoDeadline;
+    // Fewer tight requests (3) than queue slots (4): each can evict at most
+    // one unconstrained entry, and requests 0-2 are admitted before any
+    // eviction, so at least one unconstrained request is always served,
+    // however late the worker first runs.
+    const double deadline = (i % 4 == 3) ? 1.0 * dev : kNoDeadline;
     futures.push_back(server.Submit(h, input, deadline));
   }
   server.Stop();
