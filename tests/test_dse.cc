@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
+
 #include "dse/search.h"
+#include "fleet/portfolio.h"
 #include "nn/builders.h"
 #include "platform/fpga_spec.h"
 
@@ -191,6 +196,182 @@ TEST(DseExploreTest, InfeasibleModelThrows) {
   tiny.luts = 2000;
   tiny.dsps = 40;
   EXPECT_THROW(DseEngine(tiny).Explore(m), Error);
+}
+
+// --- golden pins: the DSE's exact answers ---
+//
+// FNV-1a digests of whole DseFrontier results (every Pareto point and the
+// legacy best) and of a fleet candidate set, captured from the search and
+// pinned so a restructuring of enumeration, scoring or frontier
+// construction has to reproduce every decision and every double bit for
+// bit. A moved digest means the search now answers differently.
+
+class Digest {
+ public:
+  void U64(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h_ ^= (v >> (8 * b)) & 0xffu;
+      h_ *= 1099511628211ull;
+    }
+  }
+  void Int(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
+  void Double(double d) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof bits);
+    U64(bits);
+  }
+  void Config(const AccelConfig& c) {
+    for (int v : {c.pi, c.po, c.pt, c.ni, c.data_width, c.wgt_width,
+                  c.input_buffer_vectors, c.weight_buffer_vectors,
+                  c.output_buffer_vectors}) {
+      Int(v);
+    }
+  }
+  void Mapping(const std::vector<LayerMapping>& mapping) {
+    U64(mapping.size());
+    for (const LayerMapping& m : mapping) {
+      Int(static_cast<int>(m.mode));
+      Int(static_cast<int>(m.dataflow));
+      Int(m.fuse_output ? 1 : 0);
+    }
+  }
+  void Resources(const ResourceEstimate& r) {
+    Double(r.luts);
+    Double(r.dsps);
+    Double(r.bram18);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 14695981039346656037ull;
+};
+
+std::uint64_t FrontierDigest(const DseFrontier& f) {
+  Digest d;
+  d.U64(f.points.size());
+  for (const ParetoPoint& p : f.points) {
+    d.Config(p.config);
+    d.Mapping(p.mapping);
+    d.Double(p.estimated_cycles);
+    d.Double(p.objective);
+    d.Resources(p.analytical);
+    d.Resources(p.implementation);
+    d.Double(p.lut_utilization);
+    d.Double(p.dsp_utilization);
+    d.Double(p.bram_utilization);
+    d.Double(p.power_watts);
+    d.Double(p.qps);
+    d.Double(p.qps_per_watt);
+  }
+  const DseResult& b = f.best;
+  d.Config(b.config);
+  d.Mapping(b.mapping);
+  d.Double(b.estimated_cycles);
+  d.Double(b.objective);
+  d.Resources(b.analytical);
+  d.Resources(b.implementation);
+  d.Double(b.power_watts);
+  d.Int(b.candidates_evaluated);
+  d.Int(f.candidates_evaluated);
+  return d.value();
+}
+
+Model BuildGoldenModel(const std::string& name) {
+  if (name == "tiny_cnn") return BuildTinyCnn();
+  if (name == "vgg16_conv") return BuildVgg16ConvOnly();
+  if (name == "vgg16") return BuildVgg16();
+  if (name == "resnet18") return BuildResNet18();
+  if (name == "resnet18_style") return BuildResNet18Style();
+  return BuildTinyResNetBlock();  // "tiny_resnet_block"
+}
+
+DseOptions GoldenOptions(const std::string& variant) {
+  DseOptions opts;
+  if (variant == "no_winograd") opts.allow_winograd = false;
+  if (variant == "unfused") opts.fuse_segments = false;
+  return opts;
+}
+
+struct GoldenCase {
+  const char* model;
+  const char* platform;  ///< "VU9P" or "PYNQ-Z1"
+  const char* variant;   ///< "default", "no_winograd" or "unfused"
+  std::uint64_t digest;
+};
+
+constexpr GoldenCase kGoldenFrontiers[] = {
+    {"tiny_cnn", "VU9P", "default", 0x98dd9e1c572bdef3ull},
+    {"tiny_cnn", "VU9P", "no_winograd", 0x827ec5b439ce3521ull},
+    {"tiny_cnn", "VU9P", "unfused", 0x8963b754ed24ed46ull},
+    {"tiny_cnn", "PYNQ-Z1", "default", 0x3d2a565a2d380731ull},
+    {"tiny_cnn", "PYNQ-Z1", "no_winograd", 0xd99de622312dc26dull},
+    {"tiny_cnn", "PYNQ-Z1", "unfused", 0x1942d025e7d8b2cdull},
+    {"vgg16_conv", "VU9P", "default", 0x6060938e3e2c39a2ull},
+    {"vgg16_conv", "VU9P", "no_winograd", 0x673eb41c3fd60e35ull},
+    {"vgg16_conv", "VU9P", "unfused", 0x855d89703b1b7c49ull},
+    {"vgg16_conv", "PYNQ-Z1", "default", 0xedb029b16848e62eull},
+    {"vgg16_conv", "PYNQ-Z1", "no_winograd", 0xe2facf4f0b486bc7ull},
+    {"vgg16_conv", "PYNQ-Z1", "unfused", 0xedb029b16848e62eull},
+    {"vgg16", "VU9P", "default", 0x548ce6a71606fe23ull},
+    {"vgg16", "VU9P", "no_winograd", 0xf5e42e2b918f0ba8ull},
+    {"vgg16", "VU9P", "unfused", 0x6d5e7c7fedcc9be9ull},
+    {"vgg16", "PYNQ-Z1", "default", 0xa98da23b7048e343ull},
+    {"vgg16", "PYNQ-Z1", "no_winograd", 0xaf9029923b8e1f0aull},
+    {"vgg16", "PYNQ-Z1", "unfused", 0xae5c5a2226ba49b0ull},
+    {"resnet18", "VU9P", "default", 0x8d69534cdbd0cc80ull},
+    {"resnet18", "VU9P", "no_winograd", 0x35ae5649b944d95full},
+    {"resnet18", "VU9P", "unfused", 0x5a69a87d2d8edd2eull},
+    {"resnet18", "PYNQ-Z1", "default", 0x4419a53117658a6cull},
+    {"resnet18", "PYNQ-Z1", "no_winograd", 0xe2803a5297d50836ull},
+    {"resnet18", "PYNQ-Z1", "unfused", 0x16efa1b805c76b3bull},
+    {"resnet18_style", "VU9P", "default", 0x65827986147db863ull},
+    {"resnet18_style", "VU9P", "no_winograd", 0xfe0225a4b25517c4ull},
+    {"resnet18_style", "VU9P", "unfused", 0x649c5b07ef71ab26ull},
+    {"resnet18_style", "PYNQ-Z1", "default", 0x8c23bfee42d8352bull},
+    {"resnet18_style", "PYNQ-Z1", "no_winograd", 0xcef69864f50a8adfull},
+    {"resnet18_style", "PYNQ-Z1", "unfused", 0x3804998304dd4febull},
+    {"tiny_resnet_block", "VU9P", "default", 0xf96e535442290caaull},
+    {"tiny_resnet_block", "VU9P", "no_winograd", 0x9b3860d7fbf78d04ull},
+    {"tiny_resnet_block", "VU9P", "unfused", 0xd6c7884f0d960d8eull},
+    {"tiny_resnet_block", "PYNQ-Z1", "default", 0xbc13893482ab80b6ull},
+    {"tiny_resnet_block", "PYNQ-Z1", "no_winograd", 0x4b791deee93e3641ull},
+    {"tiny_resnet_block", "PYNQ-Z1", "unfused", 0x5b54fbc3f8aa0f58ull},
+};
+
+TEST(DseGoldenTest, FrontiersMatchPinnedDigests) {
+  for (const GoldenCase& c : kGoldenFrontiers) {
+    const Model model = BuildGoldenModel(c.model);
+    const FpgaSpec& spec =
+        std::string(c.platform) == "VU9P" ? Vu9pSpec() : PynqZ1Spec();
+    const DseFrontier f =
+        DseEngine(spec).ExploreFrontier(model, GoldenOptions(c.variant));
+    EXPECT_EQ(FrontierDigest(f), c.digest)
+        << c.model << " on " << c.platform << " (" << c.variant
+        << "): got 0x" << std::hex << FrontierDigest(f);
+  }
+}
+
+TEST(DseGoldenTest, FleetBoardCandidatesMatchPinnedDigest) {
+  // The fleet_qps bench's candidate set: TinyCnn + TinyResidualBlock over
+  // both paper platforms. BuildBoardCandidates re-queries one engine per
+  // platform (frontier, then BestMapping per config and model).
+  const Model tiny = BuildTinyCnn();
+  const Model resid = BuildTinyResidualBlock();
+  const std::vector<BoardCandidate> cands =
+      BuildBoardCandidates({&Vu9pSpec(), &PynqZ1Spec()}, {&tiny, &resid});
+  Digest d;
+  d.U64(cands.size());
+  for (const BoardCandidate& c : cands) {
+    for (char ch : c.spec.name) d.Int(ch);
+    d.Config(c.config);
+    d.Resources(c.implementation);
+    d.Double(c.power_watts);
+    d.U64(c.mappings.size());
+    for (const auto& mapping : c.mappings) d.Mapping(mapping);
+    for (double s : c.item_seconds) d.Double(s);
+    for (double q : c.board_qps) d.Double(q);
+  }
+  EXPECT_EQ(d.value(), 0xb9a9c69f91680911ull) << "got 0x" << std::hex << d.value();
 }
 
 }  // namespace
