@@ -72,13 +72,9 @@ static_watts 2.0
 
   // Multi-objective exploration of a second workload on the same board:
   // every Pareto-optimal design for true ResNet-18 (real residual adds —
-  // the estimator charges the SAVE stage for the skip-tensor reads),
-  // evaluated with all available cores and the engine's memo cache
-  // (bit-identical to a serial exploration).
+  // the estimator charges the SAVE stage for the skip-tensor reads).
   const Model resnet = BuildResNet18();
-  DseOptions opts;
-  opts.num_threads = 0;  // hardware concurrency
-  const DseFrontier frontier = dse.ExploreFrontier(resnet, opts);
+  const DseFrontier frontier = dse.ExploreFrontier(resnet);
   std::printf("\nPareto frontier for %s (%d candidates evaluated):\n",
               resnet.name().c_str(), frontier.candidates_evaluated);
   std::printf("  %-28s %10s %6s %6s %6s %8s\n", "config", "ms/image", "lut%",

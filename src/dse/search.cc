@@ -1,14 +1,11 @@
 #include "dse/search.h"
 
 #include <algorithm>
-#include <cmath>
-#include <exception>
-#include <future>
 #include <limits>
-#include <thread>
+#include <string>
+#include <utility>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
 #include "compiler/fusion.h"
 #include "platform/power_model.h"
 
@@ -46,66 +43,20 @@ bool IsLegalCombo(const ConvLayer& layer, ConvMode mode, Dataflow flow,
   return true;
 }
 
-int ResolveThreads(int num_threads) {
-  if (num_threads > 0) return num_threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
+/// A feasible enumerated candidate with the resource estimates computed
+/// while assigning its buffers (reused when scoring the frontier).
+struct Candidate {
+  AccelConfig cfg;
+  ResourceEstimate analytical;
+  ResourceEstimate implementation;
+};
 
-/// Everything the latency model reads from a model, flattened: input
-/// geometry, the per-layer fields of every layer (is_fc included because
-/// it changes the canonical input shape of the next layer), and the graph
-/// edges (input + residual indices — a skip edge changes a layer's input
-/// shape source and adds SAVE-stage traffic). Names and relu are
-/// deliberately absent — two models differing only there score identically.
-std::vector<int> GeometrySignature(const Model& model) {
-  std::vector<int> sig;
-  sig.reserve(4 + 10 * static_cast<std::size_t>(model.num_layers()));
-  const FmapShape& in = model.input();
-  sig.insert(sig.end(), {in.channels, in.height, in.width,
-                         model.num_layers()});
-  for (int i = 0; i < model.num_layers(); ++i) {
-    const ConvLayer& l = model.layer(i);
-    sig.insert(sig.end(),
-               {l.in_channels, l.out_channels, l.kernel_h, l.kernel_w,
-                l.stride, l.pad, l.pool, static_cast<int>(l.is_fc),
-                model.input_index(i), model.residual_index(i)});
-  }
-  return sig;
-}
-
-}  // namespace
-
-void DseOptions::Validate() const {
-  HDNN_CHECK(max_ni >= 1) << "DseOptions.max_ni must be >= 1, got " << max_ni
-                          << " (the search would explore an empty space)";
-  HDNN_CHECK(max_pi >= 1) << "DseOptions.max_pi must be >= 1, got " << max_pi
-                          << " (the search would explore an empty space)";
-  HDNN_CHECK(tie_fraction >= 0)
-      << "DseOptions.tie_fraction must be >= 0, got " << tie_fraction;
-  HDNN_CHECK(num_threads >= 0)
-      << "DseOptions.num_threads must be >= 0 (0 = hardware concurrency), "
-         "got " << num_threads;
-}
-
-bool Dominates(const ParetoPoint& a, const ParetoPoint& b) {
-  bool strictly_better = false;
-  const double av[] = {a.objective, a.lut_utilization, a.dsp_utilization,
-                       a.bram_utilization, a.power_watts};
-  const double bv[] = {b.objective, b.lut_utilization, b.dsp_utilization,
-                       b.bram_utilization, b.power_watts};
-  for (int i = 0; i < 5; ++i) {
-    if (av[i] > bv[i]) return false;
-    if (av[i] < bv[i]) strictly_better = true;
-  }
-  return strictly_better;
-}
-
-DseEngine::DseEngine(const FpgaSpec& spec, const ProfileConstants& profile)
-    : spec_(spec), profile_(profile) {}
-
-bool DseEngine::AssignBuffers(AccelConfig& cfg, ResourceEstimate* analytical,
-                              ResourceEstimate* implementation) const {
+/// Gives `cand` the largest buffer rung that fits the platform for its
+/// parallel factors, with that rung's resource estimates; returns false if
+/// no rung fits.
+bool AssignBuffers(const FpgaSpec& spec, const ProfileConstants& profile,
+                   Candidate* cand) {
+  AccelConfig& cfg = cand->cfg;
   for (const BufferRung& rung : kBufferLadder) {
     cfg.input_buffer_vectors = rung.input;
     cfg.weight_buffer_vectors = rung.weight;
@@ -113,111 +64,100 @@ bool DseEngine::AssignBuffers(AccelConfig& cfg, ResourceEstimate* analytical,
     // The analytical model is checked against the raw Table 2 limits (it
     // deliberately over-estimates BRAM, as the paper's own Table 3 shows);
     // the implementation model additionally honours the per-die headroom.
-    const ResourceEstimate impl =
-        ImplementationResources(cfg, spec_, profile_);
-    const ResourceEstimate ana = AnalyticalResources(cfg, spec_, profile_);
-    if (FitsDeviceLimits(ana, spec_) && FitsDeviceLimits(impl, spec_) &&
-        FitsPerDie(impl, cfg, spec_)) {
-      if (analytical) *analytical = ana;
-      if (implementation) *implementation = impl;
+    const ResourceEstimate impl = ImplementationResources(cfg, spec, profile);
+    const ResourceEstimate ana = AnalyticalResources(cfg, spec, profile);
+    if (FitsDeviceLimits(ana, spec) && FitsDeviceLimits(impl, spec) &&
+        FitsPerDie(impl, cfg, spec)) {
+      cand->analytical = ana;
+      cand->implementation = impl;
       return true;
     }
   }
   return false;
 }
 
-const std::vector<DseEngine::Candidate>& DseEngine::CandidatesFor(
-    const DseOptions& opts) const {
-  const std::pair<int, int> key{opts.max_ni, opts.max_pi};
-  std::lock_guard<std::mutex> lock(enum_mu_);
-  const auto it = enum_cache_.find(key);
-  if (it != enum_cache_.end()) return it->second;
-
+/// Step 1, in the fixed order (PT, PI, PO, NI) that every later tie-break
+/// and sort relies on.
+std::vector<Candidate> EnumerateFeasible(const FpgaSpec& spec,
+                                         const ProfileConstants& profile,
+                                         const DseOptions& opts) {
   std::vector<Candidate> candidates;
   for (int pt : {4, 6}) {
-    for (int pi = 1; pi <= opts.max_pi; pi *= 2) {
+    // Broadcast fanout cap: PI*PT channels of DATA_WIDTH bits is the
+    // timing-critical broadcast net (profiled routing constraint; this is
+    // what keeps instances within one die on multi-SLR parts). It also
+    // bounds PI, so the doubling never overflows whatever max_pi is.
+    for (int pi = 1; pi <= opts.max_pi && pi * pt <= 32; pi *= 2) {
       for (int po = 1; po <= pi; po *= 2) {
-        // Broadcast fanout cap: PI*PT channels of DATA_WIDTH bits is the
-        // timing-critical broadcast net (profiled routing constraint; this
-        // is what keeps instances within one die on multi-SLR parts).
-        if (pi * pt > 32) continue;
         for (int ni = 1; ni <= opts.max_ni; ++ni) {
           Candidate cand;
           cand.cfg.pi = pi;
           cand.cfg.po = po;
           cand.cfg.pt = pt;
           cand.cfg.ni = ni;
-          if (!AssignBuffers(cand.cfg, &cand.analytical,
-                             &cand.implementation)) {
-            continue;
+          if (AssignBuffers(spec, profile, &cand)) {
+            candidates.push_back(std::move(cand));
           }
-          candidates.push_back(std::move(cand));
         }
       }
     }
   }
-  return enum_cache_.emplace(key, std::move(candidates)).first->second;
+  return candidates;
 }
 
-std::vector<AccelConfig> DseEngine::EnumerateCandidates(
-    const DseOptions& opts) const {
-  opts.Validate();
-  const std::vector<Candidate>& cached = CandidatesFor(opts);
-  std::vector<AccelConfig> configs;
-  configs.reserve(cached.size());
-  for (const Candidate& cand : cached) configs.push_back(cand.cfg);
-  return configs;
-}
+/// The best legal dataflow for one (layer, mode) on a config and its
+/// Eq. 12-15 total, or "infeasible" when no dataflow can be scheduled.
+struct LayerLatencyValue {
+  bool feasible = false;
+  double total_cycles = 0;
+  Dataflow dataflow = Dataflow::kInputStationary;
+};
 
-LayerLatencyValue DseEngine::EvaluateLayerMode(
-    const ConvLayer& layer, const FmapShape& in, ConvMode mode,
-    const AccelConfig& cfg, bool use_memo,
-    const FusionContext& fusion) const {
-  LayerLatencyKey key;
-  if (use_memo) {
-    key = MakeLatencyKey(layer, in, mode, cfg, fusion);
-    LayerLatencyValue cached;
-    if (memo_.Lookup(key, &cached)) return cached;
-  }
-
+LayerLatencyValue EvaluateLayerMode(const ConvLayer& layer,
+                                    const FmapShape& in, ConvMode mode,
+                                    const AccelConfig& cfg,
+                                    const FpgaSpec& spec,
+                                    const FusionContext& fusion = {}) {
   LayerLatencyValue value;
   GroupCounts g;
-  bool scheduled = true;
   try {
     g = ComputeGroups(layer, in, mode, cfg);
   } catch (const CapacityError&) {
-    scheduled = false;  // this mode cannot be scheduled on this config
+    return value;  // this mode cannot be scheduled on this config
   }
-  if (scheduled) {
-    double best = std::numeric_limits<double>::infinity();
-    for (Dataflow flow :
-         {Dataflow::kInputStationary, Dataflow::kWeightStationary}) {
-      if (!IsLegalCombo(layer, mode, flow, g)) continue;
-      const LatencyBreakdown lb =
-          EstimateLayerLatency(layer, in, mode, flow, cfg, spec_, fusion);
-      if (lb.total < best) {
-        best = lb.total;
-        value.feasible = true;
-        value.total_cycles = lb.total;
-        value.dataflow = flow;
-      }
+  double best = std::numeric_limits<double>::infinity();
+  for (Dataflow flow :
+       {Dataflow::kInputStationary, Dataflow::kWeightStationary}) {
+    if (!IsLegalCombo(layer, mode, flow, g)) continue;
+    const LatencyBreakdown lb =
+        EstimateLayerLatency(layer, in, mode, flow, cfg, spec, fusion);
+    if (lb.total < best) {
+      best = lb.total;
+      value.feasible = true;
+      value.total_cycles = lb.total;
+      value.dataflow = flow;
     }
   }
-  if (use_memo) memo_.Insert(key, value);
   return value;
 }
 
-DseEngine::LayerChoice DseEngine::BestLayerChoice(const ConvLayer& layer,
-                                                  const FmapShape& in,
-                                                  const AccelConfig& cfg,
-                                                  const DseOptions& opts) const {
+/// Best (mode, dataflow) for one layer on one config: the single source of
+/// the mode/dataflow selection rule.
+struct LayerChoice {
+  bool feasible = false;
+  LayerMapping mapping;
+  double cycles = 0;
+};
+
+LayerChoice BestLayerChoice(const ConvLayer& layer, const FmapShape& in,
+                            const AccelConfig& cfg, const FpgaSpec& spec,
+                            const DseOptions& opts) {
   LayerChoice choice;
   double best = std::numeric_limits<double>::infinity();
   for (ConvMode mode : {ConvMode::kSpatial, ConvMode::kWinograd}) {
     if (mode == ConvMode::kWinograd && !opts.allow_winograd) continue;
     if (mode == ConvMode::kWinograd && !WinogradApplicable(layer)) continue;
-    const LayerLatencyValue v =
-        EvaluateLayerMode(layer, in, mode, cfg, opts.use_memo);
+    const LayerLatencyValue v = EvaluateLayerMode(layer, in, mode, cfg, spec);
     if (!v.feasible) continue;
     if (v.total_cycles < best) {
       best = v.total_cycles;
@@ -229,10 +169,25 @@ DseEngine::LayerChoice DseEngine::BestLayerChoice(const ConvLayer& layer,
   return choice;
 }
 
-void DseEngine::ApplyFusion(const Model& model, const AccelConfig& cfg,
-                            const DseOptions& opts,
-                            std::vector<LayerMapping>* mapping,
-                            double* total_cycles) const {
+/// Layer inputs once, not per candidate (InputOf is O(i) per call).
+std::vector<FmapShape> LayerInputs(const Model& model) {
+  std::vector<FmapShape> inputs;
+  inputs.reserve(static_cast<std::size_t>(model.num_layers()));
+  for (int i = 0; i < model.num_layers(); ++i) {
+    inputs.push_back(model.InputOf(i));
+  }
+  return inputs;
+}
+
+/// Fused-segment scoring (opts.fuse_segments): plans the legal fusable
+/// chains for `cfg`, re-scores each chain with resident hand-offs (mode
+/// kept, dataflow re-picked) and adopts it when it beats the unfused chain.
+/// Updates `mapping` (fuse_output + dataflow) and `total_cycles` in place,
+/// so Explore / ExploreFrontier and BestMapping agree on the decision.
+void ApplyFusion(const Model& model, const std::vector<FmapShape>& inputs,
+                 const AccelConfig& cfg, const FpgaSpec& spec,
+                 const DseOptions& opts, std::vector<LayerMapping>* mapping,
+                 double* total_cycles) {
   if (!opts.fuse_segments) return;
   const std::vector<bool> plan = PlanFusion(model, cfg);
   // The sole consumer of each planned tensor (one reader by legality).
@@ -270,21 +225,20 @@ void DseEngine::ApplyFusion(const Model& model, const AccelConfig& cfg,
     for (std::size_t k = 0; k < chain.size(); ++k) {
       const int li = chain[k];
       const ConvLayer& layer = model.layer(li);
-      const FmapShape in = model.InputOf(li);
+      const FmapShape& in = inputs[static_cast<std::size_t>(li)];
       const ConvMode mode = (*mapping)[static_cast<std::size_t>(li)].mode;
       FusionContext ctx;
       ctx.input_resident = k > 0;
       ctx.output_resident = k + 1 < chain.size();
       const LayerLatencyValue fv =
-          EvaluateLayerMode(layer, in, mode, cfg, opts.use_memo, ctx);
+          EvaluateLayerMode(layer, in, mode, cfg, spec, ctx);
       if (!fv.feasible) {
         feasible = false;
         break;
       }
       values.push_back(fv);
       fused += fv.total_cycles;
-      unfused +=
-          EvaluateLayerMode(layer, in, mode, cfg, opts.use_memo).total_cycles;
+      unfused += EvaluateLayerMode(layer, in, mode, cfg, spec).total_cycles;
     }
     if (!feasible || fused >= unfused) continue;
 
@@ -293,142 +247,73 @@ void DseEngine::ApplyFusion(const Model& model, const AccelConfig& cfg,
       lm.fuse_output = k + 1 < chain.size();
       lm.dataflow = values[k].dataflow;
     }
-    if (total_cycles) *total_cycles += fused - unfused;
+    *total_cycles += fused - unfused;
   }
 }
 
-std::vector<LayerMapping> DseEngine::BestMapping(const Model& model,
-                                                 const AccelConfig& cfg,
-                                                 const DseOptions& opts,
-                                                 double* total_cycles) const {
-  opts.Validate();
+/// Step 2 for one config: the per-layer mapping and summed cycles, or the
+/// index of the first layer no mode/dataflow can schedule.
+struct MappingScore {
+  int infeasible_layer = -1;
   std::vector<LayerMapping> mapping;
-  double total = 0;
+  double cycles = 0;
+};
+
+MappingScore ScoreMapping(const Model& model,
+                          const std::vector<FmapShape>& inputs,
+                          const AccelConfig& cfg, const FpgaSpec& spec,
+                          const DseOptions& opts) {
+  MappingScore score;
+  score.mapping.reserve(inputs.size());
   for (int i = 0; i < model.num_layers(); ++i) {
-    const ConvLayer& layer = model.layer(i);
-    const LayerChoice choice =
-        BestLayerChoice(layer, model.InputOf(i), cfg, opts);
+    const LayerChoice choice = BestLayerChoice(
+        model.layer(i), inputs[static_cast<std::size_t>(i)], cfg, spec, opts);
     if (!choice.feasible) {
-      throw CapacityError("layer " + layer.name +
-                          " cannot be scheduled on config " + cfg.ToString());
-    }
-    mapping.push_back(choice.mapping);
-    total += choice.cycles;
-  }
-  ApplyFusion(model, cfg, opts, &mapping, &total);
-  if (total_cycles) *total_cycles = total;
-  return mapping;
-}
-
-DseEngine::Evaluation DseEngine::EvaluateCandidates(
-    const Model& model, const DseOptions& opts) const {
-  opts.Validate();
-  const std::vector<Candidate>& candidates = CandidatesFor(opts);
-  HDNN_CHECK(!candidates.empty())
-      << "no feasible accelerator configuration for platform " << spec_.name;
-
-  // Score-level memo: a model geometry this engine has already scored under
-  // the same search options is a single lookup.
-  const ScoreKey score_key{GeometrySignature(model), opts.allow_winograd,
-                           opts.fuse_segments, opts.max_ni, opts.max_pi};
-  std::shared_ptr<const std::vector<CandidateScore>> scores;
-  if (opts.use_memo) {
-    std::lock_guard<std::mutex> lock(score_mu_);
-    const auto it = score_cache_.find(score_key);
-    if (it != score_cache_.end()) scores = it->second;
-  }
-
-  if (scores == nullptr) {
-    // Layer inputs once, not per candidate (InputOf is O(i) per call).
-    const int num_layers = model.num_layers();
-    std::vector<FmapShape> inputs;
-    inputs.reserve(static_cast<std::size_t>(num_layers));
-    for (int i = 0; i < num_layers; ++i) inputs.push_back(model.InputOf(i));
-
-    // Step 2 for one candidate. Pure given (model, cfg, memo values), so the
-    // schedule of these tasks over workers cannot change any result.
-    auto evaluate = [&](const AccelConfig& cfg) {
-      CandidateScore score;
-      score.mapping.reserve(static_cast<std::size_t>(num_layers));
-      for (int i = 0; i < num_layers; ++i) {
-        const LayerChoice choice = BestLayerChoice(
-            model.layer(i), inputs[static_cast<std::size_t>(i)], cfg, opts);
-        if (!choice.feasible) return CandidateScore{};  // unschedulable layer
-        score.mapping.push_back(choice.mapping);
-        score.cycles += choice.cycles;
-      }
-      ApplyFusion(model, cfg, opts, &score.mapping, &score.cycles);
-      score.feasible = true;
+      score.infeasible_layer = i;
       return score;
-    };
-
-    // Fan out over the pool, then merge in enumeration order: the result is
-    // a plain indexed gather, so 1, 4 and N workers produce identical bits.
-    std::vector<CandidateScore> computed(candidates.size());
-    const int threads =
-        std::min<int>(ResolveThreads(opts.num_threads),
-                      static_cast<int>(candidates.size()));
-    if (threads > 1) {
-      // The engine's pool is reused across Explore calls; it is only
-      // (re)created when the resolved worker count changes.
-      std::shared_ptr<ThreadPool> pool;
-      {
-        std::lock_guard<std::mutex> lock(pool_mu_);
-        if (pool_ == nullptr || pool_->num_threads() != threads) {
-          pool_ = std::make_shared<ThreadPool>(threads);
-        }
-        pool = pool_;
-      }
-      std::vector<std::future<CandidateScore>> futures;
-      futures.reserve(candidates.size());
-      for (const Candidate& cand : candidates) {
-        futures.push_back(
-            pool->Submit([&evaluate, &cand] { return evaluate(cand.cfg); }));
-      }
-      // Drain every future before rethrowing: queued tasks capture this
-      // frame's locals by reference, so unwinding mid-loop while the
-      // long-lived pool still runs them would be a use-after-free.
-      std::exception_ptr first_error;
-      for (std::size_t i = 0; i < futures.size(); ++i) {
-        try {
-          computed[i] = futures[i].get();
-        } catch (...) {
-          if (first_error == nullptr) first_error = std::current_exception();
-        }
-      }
-      if (first_error != nullptr) std::rethrow_exception(first_error);
-    } else {
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        computed[i] = evaluate(candidates[i].cfg);
-      }
     }
-
-    auto owned = std::make_shared<const std::vector<CandidateScore>>(
-        std::move(computed));
-    if (opts.use_memo) {
-      std::lock_guard<std::mutex> lock(score_mu_);
-      score_cache_.emplace(score_key, owned);  // first writer wins
-    }
-    scores = std::move(owned);
+    score.mapping.push_back(choice.mapping);
+    score.cycles += choice.cycles;
   }
-
-  // The feasible subset, in enumeration order.
-  Evaluation ev;
-  ev.candidates = &candidates;
-  ev.scores = std::move(scores);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (!(*ev.scores)[i].feasible) continue;
-    ev.scored.push_back(Scored{&candidates[i], &(*ev.scores)[i],
-                               (*ev.scores)[i].cycles / candidates[i].cfg.ni});
-  }
-  HDNN_CHECK(!ev.scored.empty())
-      << "no candidate can schedule every layer of " << model.name();
-  return ev;
+  ApplyFusion(model, inputs, cfg, spec, opts, &score.mapping, &score.cycles);
+  return score;
 }
 
-DseResult DseEngine::SelectBest(const Evaluation& ev,
-                                const DseOptions& opts) const {
-  const std::vector<Scored>& scored = ev.scored;
+/// A candidate that can schedule every layer, with its step-2 answer.
+struct Scored {
+  Candidate cand;
+  std::vector<LayerMapping> mapping;
+  double cycles = 0;
+  double objective = 0;  ///< cycles / NI
+};
+
+/// Steps 1-2: every feasible candidate scored, in enumeration order.
+std::vector<Scored> EvaluateCandidates(const Model& model,
+                                       const FpgaSpec& spec,
+                                       const ProfileConstants& profile,
+                                       const DseOptions& opts) {
+  opts.Validate();
+  std::vector<Candidate> candidates = EnumerateFeasible(spec, profile, opts);
+  HDNN_CHECK(!candidates.empty())
+      << "no feasible accelerator configuration for platform " << spec.name;
+
+  const std::vector<FmapShape> inputs = LayerInputs(model);
+  std::vector<Scored> scored;
+  for (Candidate& cand : candidates) {
+    MappingScore score = ScoreMapping(model, inputs, cand.cfg, spec, opts);
+    if (score.infeasible_layer >= 0) continue;
+    const double objective = score.cycles / cand.cfg.ni;
+    scored.push_back(Scored{std::move(cand), std::move(score.mapping),
+                            score.cycles, objective});
+  }
+  HDNN_CHECK(!scored.empty())
+      << "no candidate can schedule every layer of " << model.name();
+  return scored;
+}
+
+/// Step 3: the legacy tie-break over the scored set.
+DseResult SelectBest(const std::vector<Scored>& scored, const FpgaSpec& spec,
+                     const DseOptions& opts) {
   const double best_objective =
       std::min_element(scored.begin(), scored.end(),
                        [](const Scored& a, const Scored& b) {
@@ -445,14 +330,14 @@ DseResult DseEngine::SelectBest(const Evaluation& ev,
       chosen = &s;
       continue;
     }
-    const int ratio_a = s.cand->cfg.pi / s.cand->cfg.po;
-    const int ratio_b = chosen->cand->cfg.pi / chosen->cand->cfg.po;
+    const int ratio_a = s.cand.cfg.pi / s.cand.cfg.po;
+    const int ratio_b = chosen->cand.cfg.pi / chosen->cand.cfg.po;
     if (ratio_a != ratio_b) {
       if (ratio_a < ratio_b) chosen = &s;
       continue;
     }
-    if (s.cand->cfg.ni != chosen->cand->cfg.ni) {
-      if (s.cand->cfg.ni > chosen->cand->cfg.ni) chosen = &s;
+    if (s.cand.cfg.ni != chosen->cand.cfg.ni) {
+      if (s.cand.cfg.ni > chosen->cand.cfg.ni) chosen = &s;
       continue;
     }
     if (s.objective < chosen->objective) chosen = &s;
@@ -460,45 +345,101 @@ DseResult DseEngine::SelectBest(const Evaluation& ev,
   HDNN_INTERNAL(chosen != nullptr) << "tie-break selected nothing";
 
   DseResult result;
-  result.config = chosen->cand->cfg;
-  result.mapping = chosen->score->mapping;
-  result.estimated_cycles = chosen->score->cycles;
+  result.config = chosen->cand.cfg;
+  result.mapping = chosen->mapping;
+  result.estimated_cycles = chosen->cycles;
   result.objective = chosen->objective;
-  result.analytical = chosen->cand->analytical;
-  result.implementation = chosen->cand->implementation;
+  result.analytical = chosen->cand.analytical;
+  result.implementation = chosen->cand.implementation;
   result.power_watts = DefaultPowerModel().TotalWatts(
-      spec_, chosen->cand->implementation.AsUsage());
+      spec, chosen->cand.implementation.AsUsage());
   result.candidates_evaluated = static_cast<int>(scored.size());
   return result;
 }
 
+}  // namespace
+
+void DseOptions::Validate() const {
+  HDNN_CHECK(max_ni >= 1) << "DseOptions.max_ni must be >= 1, got " << max_ni
+                          << " (the search would explore an empty space)";
+  HDNN_CHECK(max_ni <= kMaxNiCeiling)
+      << "DseOptions.max_ni must be <= " << kMaxNiCeiling
+      << " (NI is enumerated one by one), got " << max_ni;
+  HDNN_CHECK(max_pi >= 1) << "DseOptions.max_pi must be >= 1, got " << max_pi
+                          << " (the search would explore an empty space)";
+  HDNN_CHECK(tie_fraction >= 0)
+      << "DseOptions.tie_fraction must be >= 0, got " << tie_fraction;
+}
+
+bool Dominates(const ParetoPoint& a, const ParetoPoint& b) {
+  bool strictly_better = false;
+  const double av[] = {a.objective, a.lut_utilization, a.dsp_utilization,
+                       a.bram_utilization, a.power_watts};
+  const double bv[] = {b.objective, b.lut_utilization, b.dsp_utilization,
+                       b.bram_utilization, b.power_watts};
+  for (int i = 0; i < 5; ++i) {
+    if (av[i] > bv[i]) return false;
+    if (av[i] < bv[i]) strictly_better = true;
+  }
+  return strictly_better;
+}
+
+DseEngine::DseEngine(const FpgaSpec& spec, const ProfileConstants& profile)
+    : spec_(spec), profile_(profile) {}
+
+std::vector<AccelConfig> DseEngine::EnumerateCandidates(
+    const DseOptions& opts) const {
+  opts.Validate();
+  std::vector<AccelConfig> configs;
+  for (const Candidate& cand : EnumerateFeasible(spec_, profile_, opts)) {
+    configs.push_back(cand.cfg);
+  }
+  return configs;
+}
+
+std::vector<LayerMapping> DseEngine::BestMapping(const Model& model,
+                                                 const AccelConfig& cfg,
+                                                 const DseOptions& opts,
+                                                 double* total_cycles) const {
+  opts.Validate();
+  MappingScore score =
+      ScoreMapping(model, LayerInputs(model), cfg, spec_, opts);
+  if (score.infeasible_layer >= 0) {
+    throw CapacityError("layer " + model.layer(score.infeasible_layer).name +
+                        " cannot be scheduled on config " + cfg.ToString());
+  }
+  if (total_cycles) *total_cycles = score.cycles;
+  return std::move(score.mapping);
+}
+
 DseFrontier DseEngine::ExploreFrontier(const Model& model,
                                        const DseOptions& opts) const {
-  const Evaluation ev = EvaluateCandidates(model, opts);
+  std::vector<Scored> scored =
+      EvaluateCandidates(model, spec_, profile_, opts);
 
   DseFrontier frontier;
-  frontier.candidates_evaluated = static_cast<int>(ev.scored.size());
-  frontier.best = SelectBest(ev, opts);
+  frontier.candidates_evaluated = static_cast<int>(scored.size());
+  frontier.best = SelectBest(scored, spec_, opts);
 
   // Multi-objective view of every scored candidate.
   std::vector<ParetoPoint> points;
-  points.reserve(ev.scored.size());
-  for (const Scored& s : ev.scored) {
+  points.reserve(scored.size());
+  for (Scored& s : scored) {
     ParetoPoint p;
-    p.config = s.cand->cfg;
-    p.mapping = s.score->mapping;  // copy: the score vector may be cached
-    p.estimated_cycles = s.score->cycles;
+    p.config = s.cand.cfg;
+    p.mapping = std::move(s.mapping);
+    p.estimated_cycles = s.cycles;
     p.objective = s.objective;
-    p.analytical = s.cand->analytical;
-    p.implementation = s.cand->implementation;
+    p.analytical = s.cand.analytical;
+    p.implementation = s.cand.implementation;
     p.lut_utilization =
-        s.cand->implementation.luts / static_cast<double>(spec_.luts);
+        s.cand.implementation.luts / static_cast<double>(spec_.luts);
     p.dsp_utilization =
-        s.cand->implementation.dsps / static_cast<double>(spec_.dsps);
+        s.cand.implementation.dsps / static_cast<double>(spec_.dsps);
     p.bram_utilization =
-        s.cand->implementation.bram18 / static_cast<double>(spec_.bram18);
+        s.cand.implementation.bram18 / static_cast<double>(spec_.bram18);
     p.power_watts =
-        DefaultPowerModel().TotalWatts(spec_, s.cand->implementation.AsUsage());
+        DefaultPowerModel().TotalWatts(spec_, s.cand.implementation.AsUsage());
     p.qps = p.objective > 0 ? spec_.freq_mhz * 1e6 / p.objective : 0;
     p.qps_per_watt = p.power_watts > 0 ? p.qps / p.power_watts : 0;
     points.push_back(std::move(p));
@@ -532,7 +473,8 @@ DseFrontier DseEngine::ExploreFrontier(const Model& model,
 DseResult DseEngine::Explore(const Model& model, const DseOptions& opts) const {
   // The thin best-point wrapper: same evaluation and tie-break as
   // ExploreFrontier, without paying for frontier construction.
-  return SelectBest(EvaluateCandidates(model, opts), opts);
+  return SelectBest(EvaluateCandidates(model, spec_, profile_, opts), spec_,
+                    opts);
 }
 
 }  // namespace hdnn

@@ -18,29 +18,19 @@
 // balanced (PI == PO) and more-replicated designs, which is what multi-die
 // timing closure favours (paper Sec. 1 and Sec. 6.1).
 //
-// Beyond the paper, the engine is built for portfolio-scale sweeps:
-//   * candidate evaluation (step 2) fans out over a common/thread_pool.h
-//     worker pool and merges results in enumeration order, so Explore and
-//     ExploreFrontier are bit-identical for any worker count;
-//   * per-(layer geometry, mode, config) latency queries are memoized in a
-//     shared read-mostly cache that persists across Explore calls on one
-//     engine — sweeps over model families stop recomputing identical layers;
-//   * ExploreFrontier returns the full Pareto frontier over {throughput
-//     objective, LUT/DSP/BRAM utilization, estimated power}, with Explore
-//     kept as the thin best-point wrapper the rest of the repo consumes.
+// The search runs exactly that way: one serial pass that enumerates the
+// candidates and scores each one by calling the Eq. 12-15 model directly.
+// It keeps no state between calls, so every answer is a pure function of
+// (spec, profile, model, options). Beyond the paper, ExploreFrontier
+// returns the full Pareto frontier over {throughput objective, LUT/DSP/BRAM
+// utilization, estimated power}, with Explore kept as the thin best-point
+// wrapper the rest of the repo consumes.
 #ifndef HDNN_DSE_SEARCH_H_
 #define HDNN_DSE_SEARCH_H_
 
-#include <compare>
-#include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <utility>
 #include <vector>
 
 #include "common/types.h"
-#include "estimator/latency_cache.h"
 #include "estimator/latency_model.h"
 #include "estimator/resource_model.h"
 #include "nn/model.h"
@@ -49,21 +39,17 @@
 
 namespace hdnn {
 
-class ThreadPool;
-
 struct DseOptions {
+  /// Ceiling on max_ni. Enumeration walks every NI from 1 to max_ni, and no
+  /// modeled device fits more than a few dozen instances.
+  static constexpr int kMaxNiCeiling = 64;
+
   bool allow_winograd = true;  ///< false = Spatial-only baseline accelerator
-  int max_ni = 8;
+  int max_ni = 8;  ///< in [1, kMaxNiCeiling]
+  /// Upper bound on PI; PI also stays under the broadcast cap PI*PT <= 32.
   int max_pi = 16;
   /// Tie window for the balanced/replicated preference.
   double tie_fraction = 0.05;
-  /// Worker threads for candidate evaluation: 1 = in-caller serial loop,
-  /// N > 1 = pool of N workers, 0 = std::thread::hardware_concurrency().
-  /// Results are bit-identical for every setting.
-  int num_threads = 1;
-  /// Consult / fill the engine's shared latency memo cache. Off recomputes
-  /// every query (the pre-memoization behaviour); results are identical.
-  bool use_memo = true;
   /// Score fused segments (compiler/fusion.h): after the per-layer mode /
   /// dataflow selection, each maximal fusable chain is re-scored with its
   /// interior DRAM round-trips replaced by on-chip hand-offs (dataflow
@@ -152,118 +138,9 @@ class DseEngine {
 
   const FpgaSpec& spec() const { return spec_; }
 
-  /// Shared memo-cache observability (hits/misses since construction).
-  LatencyMemoCache::Stats cache_stats() const { return memo_.stats(); }
-  std::size_t cache_entries() const { return memo_.size(); }
-
  private:
-  /// A feasible enumerated candidate with the resource estimates computed
-  /// while assigning its buffers (reused when scoring the frontier).
-  struct Candidate {
-    AccelConfig cfg;
-    ResourceEstimate analytical;
-    ResourceEstimate implementation;
-  };
-
-  /// Picks the largest buffer geometry (from a fixed ladder) that fits the
-  /// BRAM budget for the given parallel factors; returns false if none fits.
-  /// On success fills the winning rung's resource estimates.
-  bool AssignBuffers(AccelConfig& cfg, ResourceEstimate* analytical,
-                     ResourceEstimate* implementation) const;
-
-  /// Enumeration with a per-(max_ni, max_pi) cache: candidate lists are pure
-  /// functions of the spec and those two options, and portfolio sweeps
-  /// re-enumerate constantly.
-  const std::vector<Candidate>& CandidatesFor(const DseOptions& opts) const;
-
-  /// Step-2 answer for one candidate: the per-layer mapping and summed
-  /// cycles, or infeasible when some layer cannot be scheduled at all.
-  struct CandidateScore {
-    bool feasible = false;
-    std::vector<LayerMapping> mapping;
-    double cycles = 0;
-  };
-
-  /// Second memo level: the full per-candidate score vector of one
-  /// (model geometry, search options) pair. Re-exploring a model the engine
-  /// has already scored — the steady state of a portfolio sweep — becomes a
-  /// single lookup plus frontier construction. Values are pure functions of
-  /// the key (the per-layer level guarantees each element), so cached and
-  /// cold explorations are bit-identical. The key stores the full geometry
-  /// signature, not a hash of it: a silent collision here would return the
-  /// wrong model's scores.
-  struct ScoreKey {
-    std::vector<int> geometry;
-    bool allow_winograd = true;
-    bool fuse_segments = true;
-    int max_ni = 0;
-    int max_pi = 0;
-
-    friend auto operator<=>(const ScoreKey&, const ScoreKey&) = default;
-  };
-
-  /// Best (mode, dataflow) for one layer on one config — the single source
-  /// of the mode/dataflow selection rule, shared by BestMapping and the
-  /// candidate fan-out.
-  struct LayerChoice {
-    bool feasible = false;
-    LayerMapping mapping;
-    double cycles = 0;
-  };
-  LayerChoice BestLayerChoice(const ConvLayer& layer, const FmapShape& in,
-                              const AccelConfig& cfg,
-                              const DseOptions& opts) const;
-
-  /// Fused-segment scoring (opts.fuse_segments): plans the legal fusable
-  /// chains for `cfg`, re-scores each chain with resident hand-offs (mode
-  /// kept, dataflow re-picked) and adopts it when it beats the unfused
-  /// chain. Updates `mapping` (fuse_output + dataflow) and `total_cycles`
-  /// in place. Shared by BestMapping and the candidate fan-out so Explore /
-  /// ExploreFrontier and the compiled result agree on the decision.
-  void ApplyFusion(const Model& model, const AccelConfig& cfg,
-                   const DseOptions& opts, std::vector<LayerMapping>* mapping,
-                   double* total_cycles) const;
-
-  /// Steps 1-2 for every candidate: the (possibly score-cached) evaluation,
-  /// plus the feasible subset in enumeration order.
-  struct Scored {
-    const Candidate* cand = nullptr;
-    const CandidateScore* score = nullptr;
-    double objective = 0;
-  };
-  struct Evaluation {
-    const std::vector<Candidate>* candidates = nullptr;
-    std::shared_ptr<const std::vector<CandidateScore>> scores;
-    std::vector<Scored> scored;
-  };
-  Evaluation EvaluateCandidates(const Model& model,
-                                const DseOptions& opts) const;
-
-  /// Step 3: the legacy tie-break over the scored set.
-  DseResult SelectBest(const Evaluation& ev, const DseOptions& opts) const;
-
-  /// Best legal dataflow for (layer, in, mode) on `cfg` under the fusion
-  /// context, through the memo cache when `use_memo`.
-  LayerLatencyValue EvaluateLayerMode(const ConvLayer& layer,
-                                      const FmapShape& in, ConvMode mode,
-                                      const AccelConfig& cfg, bool use_memo,
-                                      const FusionContext& fusion = {}) const;
-
   FpgaSpec spec_;
   ProfileConstants profile_;
-
-  mutable LatencyMemoCache memo_;
-  mutable std::mutex enum_mu_;
-  mutable std::map<std::pair<int, int>, std::vector<Candidate>> enum_cache_;
-  mutable std::mutex score_mu_;
-  mutable std::map<ScoreKey,
-                   std::shared_ptr<const std::vector<CandidateScore>>>
-      score_cache_;
-  /// Lazily created, reused across Explore calls (recreated only when the
-  /// requested worker count changes); shared_ptr so concurrent calls keep
-  /// their pool alive across a resize.
-  mutable std::mutex pool_mu_;
-  mutable std::shared_ptr<ThreadPool> pool_;
 };
 
 }  // namespace hdnn

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "dse/search.h"
@@ -163,9 +164,20 @@ TEST(DseOptionsTest, InvalidOptionsThrowInsteadOfEmptySearch) {
   bad_tie.tie_fraction = -0.1;
   EXPECT_THROW(dse.Explore(m, bad_tie), InvalidArgument);
 
-  DseOptions bad_threads;
-  bad_threads.num_threads = -1;
-  EXPECT_THROW(dse.Explore(m, bad_threads), InvalidArgument);
+  // NI is enumerated one by one, so an unbounded max_ni is rejected up
+  // front rather than walked for 2^31 iterations.
+  DseOptions huge_ni;
+  huge_ni.max_ni = std::numeric_limits<int>::max();
+  EXPECT_THROW(dse.Explore(m, huge_ni), InvalidArgument);
+  huge_ni.max_ni = DseOptions::kMaxNiCeiling + 1;
+  EXPECT_THROW(dse.EnumerateCandidates(huge_ni), InvalidArgument);
+
+  // A huge max_pi is legal: the broadcast cap PI*PT <= 32 bounds PI, so the
+  // enumeration neither overflows nor differs from the default's.
+  DseOptions huge_pi;
+  huge_pi.max_pi = std::numeric_limits<int>::max();
+  EXPECT_EQ(dse.EnumerateCandidates(huge_pi),
+            dse.EnumerateCandidates(DseOptions{}));
 
   AccelConfig cfg;
   double cycles = 0;
@@ -178,7 +190,8 @@ TEST(DseOptionsTest, ValidOptionsPassValidation) {
   opts.max_ni = 1;
   opts.max_pi = 1;
   opts.tie_fraction = 0;
-  opts.num_threads = 0;  // 0 = hardware concurrency, explicitly legal
+  EXPECT_NO_THROW(opts.Validate());
+  opts.max_ni = DseOptions::kMaxNiCeiling;
   EXPECT_NO_THROW(opts.Validate());
 }
 
