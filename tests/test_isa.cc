@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "common/prng.h"
+#include "compiler/compiler.h"
+#include "dse/search.h"
 #include "isa/assembler.h"
 #include "isa/codec.h"
+#include "nn/builders.h"
+#include "platform/fpga_spec.h"
 
 namespace hdnn {
 namespace {
@@ -261,6 +267,211 @@ TEST(AssemblerTest, ErrorsIncludeLineNumbers) {
     FAIL();
   } catch (const ParseError& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+  }
+}
+
+
+// ---------------------------------------------------------------------------
+// Golden pin: the encoded words and the disassembly text of 16 DSE-compiled
+// programs. A moved digest means the instruction layout (or the text format)
+// changed; fix the layout, never re-pin.
+
+std::uint64_t Fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+constexpr std::uint64_t kFnvBasis = 14695981039346656037ull;
+
+std::uint64_t WordsDigest(const std::vector<Instruction>& program) {
+  std::uint64_t h = kFnvBasis;
+  for (const Instruction& w : program) {
+    h = Fnv1a(h, &w.lo, sizeof w.lo);
+    h = Fnv1a(h, &w.hi, sizeof w.hi);
+  }
+  return h;
+}
+
+std::uint64_t TextDigest(const std::string& text) {
+  return Fnv1a(kFnvBasis, text.data(), text.size());
+}
+
+struct IsaGoldenCase {
+  const char* model;     ///< "tiny_cnn", "vgg16_conv", "vgg16" or "resnet18"
+  const char* platform;  ///< "VU9P" or "PYNQ-Z1"
+  bool fused;
+  std::uint64_t words_digest;
+  std::uint64_t text_digest;
+};
+
+constexpr IsaGoldenCase kIsaGolden[] = {
+    {"tiny_cnn", "VU9P", true,
+     0x343991dfb806cb89ull, 0x3835462c51ce6d19ull},
+    {"tiny_cnn", "VU9P", false,
+     0xb4c877fd7fb64a19ull, 0xa9fcbfa246949bfbull},
+    {"tiny_cnn", "PYNQ-Z1", true,
+     0x1bfc959b8eabb001ull, 0xda131b44cf5a4032ull},
+    {"tiny_cnn", "PYNQ-Z1", false,
+     0x39c2480aa6489611ull, 0x734d2bac28672034ull},
+    {"vgg16_conv", "VU9P", true,
+     0xd1ddee4465797bbaull, 0xbf0f90c267a34d5full},
+    {"vgg16_conv", "VU9P", false,
+     0xd1ddee4465797bbaull, 0xbf0f90c267a34d5full},
+    {"vgg16_conv", "PYNQ-Z1", true,
+     0x19f5f5664282df39ull, 0x3034e776b33ef684ull},
+    {"vgg16_conv", "PYNQ-Z1", false,
+     0x19f5f5664282df39ull, 0x3034e776b33ef684ull},
+    {"vgg16", "VU9P", true,
+     0x42ded78a7f85081full, 0x185ffb6fe75e0badull},
+    {"vgg16", "VU9P", false,
+     0x9ca7c5c6c4939dbfull, 0x7181e9a44d224e81ull},
+    {"vgg16", "PYNQ-Z1", true,
+     0x8f3129d502e46c80ull, 0x7088dc4c44344b7cull},
+    {"vgg16", "PYNQ-Z1", false,
+     0x48869e695db51b00ull, 0x790c6f7ef2c108aull},
+    {"resnet18", "VU9P", true,
+     0x49efa0fb64506e2full, 0x3c876b43df3d2e25ull},
+    {"resnet18", "VU9P", false,
+     0x3f68d8259a44c00full, 0xf3cb66890e229345ull},
+    {"resnet18", "PYNQ-Z1", true,
+     0x7eea2b95665191a1ull, 0x53efc10d4bc9fbdeull},
+    {"resnet18", "PYNQ-Z1", false,
+     0xdec62294c36fe861ull, 0xf6081349ee8515e4ull},
+};
+
+Model BuildIsaGoldenModel(const std::string& name) {
+  if (name == "tiny_cnn") return BuildTinyCnn();
+  if (name == "vgg16_conv") return BuildVgg16ConvOnly();
+  if (name == "vgg16") return BuildVgg16();
+  return BuildResNet18();
+}
+
+/// The program the design flow would run: DSE-chosen config and mapping,
+/// then the compiler.
+std::vector<Instruction> CompileGoldenProgram(const std::string& model_name,
+                                              const std::string& platform,
+                                              bool fused) {
+  const Model model = BuildIsaGoldenModel(model_name);
+  const FpgaSpec& spec = platform == "VU9P" ? Vu9pSpec() : PynqZ1Spec();
+  DseOptions opts;
+  opts.fuse_segments = fused;
+  const DseResult best = DseEngine(spec).Explore(model, opts);
+  return Compiler(best.config, spec).Compile(model, best.mapping).program;
+}
+
+TEST(IsaGoldenTest, CompiledProgramsMatchPinnedDigests) {
+  for (const IsaGoldenCase& c : kIsaGolden) {
+    const std::vector<Instruction> program =
+        CompileGoldenProgram(c.model, c.platform, c.fused);
+    const std::string text = DisassembleProgram(program);
+    const std::string label = std::string(c.model) + " on " + c.platform +
+                              (c.fused ? " (fused)" : " (unfused)");
+    EXPECT_EQ(WordsDigest(program), c.words_digest)
+        << label << ": words 0x" << std::hex << WordsDigest(program);
+    EXPECT_EQ(TextDigest(text), c.text_digest)
+        << label << ": text 0x" << std::hex << TextDigest(text);
+    EXPECT_TRUE(AssembleProgram(text) == program) << label;
+  }
+}
+
+/// One instruction's text split into the mnemonic and its key=value tokens.
+struct TextLine {
+  std::string mnemonic;
+  std::vector<std::pair<std::string, std::vector<std::string>>> kv;
+
+  explicit TextLine(const std::string& line) {
+    std::istringstream in(line);
+    in >> mnemonic;
+    std::string token;
+    while (in >> token) {
+      const auto eq = token.find('=');
+      std::vector<std::string> values;
+      std::istringstream vs(token.substr(eq + 1));
+      std::string piece;
+      while (std::getline(vs, piece, ',')) values.push_back(piece);
+      kv.emplace_back(token.substr(0, eq), values);
+    }
+  }
+
+  std::string Render() const {
+    std::string out = mnemonic;
+    for (const auto& [key, values] : kv) {
+      out += " " + key + "=";
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        out += (i ? "," : "") + values[i];
+      }
+    }
+    return out;
+  }
+};
+
+/// Assembles `line` with value slot (k, i) replaced; false if rejected.
+bool AssembleWithSlot(TextLine line, std::size_t k, std::size_t i,
+                      std::uint64_t value, Instruction& out) {
+  line.kv[k].second[i] = std::to_string(value);
+  try {
+    out = AssembleLine(line.Render());
+    return true;
+  } catch (const Error&) {
+    return false;
+  }
+}
+
+int PopCount(const Word128& w) {
+  return __builtin_popcountll(w.lo) + __builtin_popcountll(w.hi);
+}
+
+// Each format's payload rows, probed through the assembler: the bits one
+// value slot drives are the XOR of its minimum accepted encoding with the
+// encoding of minimum + 2^k for every accepted k. No two slots may share a
+// bit, and every slot lies in bits 0-115 (payload) or 116-117 (BUFF_ID).
+TEST(IsaGoldenTest, RowsAreDisjointAndBelowTheHeader) {
+  struct Format {
+    const char* name;
+    InstrFields fields;
+    int used_bits;  ///< payload + BUFF_ID bits the format allocates
+  };
+  SaveFields save_res;
+  save_res.res_add = true;
+  const Format formats[] = {
+      {"LOAD", LoadFields{}, 118},
+      {"COMP", CompFields{}, 117},  // bit 0 is spare
+      {"SAVE", SaveFields{}, 118},
+      {"SAVE_RES", save_res, 118},
+  };
+  for (const Format& f : formats) {
+    const TextLine line(Disassemble(Encode(f.fields)));
+    Word128 used;
+    for (std::size_t k = 0; k < line.kv.size(); ++k) {
+      if (line.kv[k].first == "dept") continue;  // header, not payload
+      for (std::size_t i = 0; i < line.kv[k].second.size(); ++i) {
+        const std::string slot = std::string(f.name) + " " +
+                                 line.kv[k].first + "[" + std::to_string(i) +
+                                 "]";
+        std::uint64_t lo = 0;
+        Instruction base;
+        while (!AssembleWithSlot(line, k, i, lo, base)) {
+          ASSERT_LT(++lo, 16u) << slot << " accepts no small value";
+        }
+        Word128 bits;
+        for (int b = 0; b < 40; ++b) {
+          Instruction probe;
+          if (!AssembleWithSlot(line, k, i, lo + (1ull << b), probe)) continue;
+          bits.lo |= probe.lo ^ base.lo;
+          bits.hi |= probe.hi ^ base.hi;
+        }
+        EXPECT_EQ(bits.lo & used.lo, 0u) << slot << " overlaps another row";
+        EXPECT_EQ(bits.hi & used.hi, 0u) << slot << " overlaps another row";
+        EXPECT_EQ(bits.hi >> 54, 0u) << slot << " reaches into the header";
+        used.lo |= bits.lo;
+        used.hi |= bits.hi;
+      }
+    }
+    EXPECT_EQ(PopCount(used), f.used_bits) << f.name;
   }
 }
 
