@@ -1,353 +1,321 @@
+// Encoder, decoder, disassembler and assembler of the 128-bit HybridDNN ISA.
+//
+// Paper Fig. 2 names the fields of every instruction but gives no bit
+// positions. The positions chosen here live in one place, ForEachRow: each
+// payload field is one row
+//   v(key, bit position, width, member[, bias])
+// listed in disassembly order, and Encode, Decode, Disassemble and
+// AssembleLine are each one generic walk over those rows (DESIGN.md "ISA
+// row tables"). Three rules cover the text format and the odd fields:
+//   - a key on consecutive rows is one comma list (pad=t,b,l,r);
+//   - `bias` is subtracted before a value is stored (stride 1-4 in 2 bits);
+//   - width 0 marks a field the format does not carry: its value must equal
+//     the bias (SAVE_RES cannot fuse a max-pool, so its pool must be 1).
 #include "isa/codec.h"
 
+#include <algorithm>
+#include <iterator>
+#include <sstream>
+#include <string_view>
+#include <type_traits>
+
 #include "common/check.h"
+#include "isa/assembler.h"
 
 namespace hdnn {
 namespace {
 
-// Common header.
-constexpr int kOpcodePos = 124, kOpcodeBits = 4;
+// Common header; BUFF_ID [116,118) is given meaning by each format's rows.
+constexpr int kOpcodePos = 124;
 constexpr int kDeptPos = 118, kDeptBits = 6;
-constexpr int kBuffIdPos = 116, kBuffIdBits = 2;
 
-// LOAD payload (116 bits below the header, fully used).
-namespace load {
-constexpr int kBuffBasePos = 102, kBuffBaseBits = 14;
-constexpr int kDramBasePos = 74, kDramBaseBits = 28;
-constexpr int kRowsPos = 66, kRowsBits = 8;
-constexpr int kColsPos = 56, kColsBits = 10;
-constexpr int kChanVecsPos = 44, kChanVecsBits = 12;
-constexpr int kAuxPos = 32, kAuxBits = 12;
-constexpr int kPitchPos = 20, kPitchBits = 12;
-constexpr int kPadTPos = 16, kPadBPos = 12, kPadLPos = 8, kPadRPos = 4;
-constexpr int kPadBits = 4;
-constexpr int kWinoPos = 3;
-constexpr int kWinoOffsetPos = 0, kWinoOffsetBits = 3;
-}  // namespace load
+/// Mnemonics indexed by opcode value.
+constexpr const char* kOpcodeNames[] = {
+    "NOP",  "LOAD_INP", "LOAD_WGT", "LOAD_BIAS",   "COMP",       "SAVE",
+    "SAVE_RES", "END",  "SAVE_KR",  "SAVE_RES_KR", "LOAD_INP_KR",
+};
+static_assert(std::size(kOpcodeNames) ==
+              static_cast<std::size_t>(Opcode::kLoadInpKr) + 1);
 
-// COMP payload.
-namespace comp {
-constexpr int kInpBasePos = 104, kBaseBits = 12;
-constexpr int kOutBasePos = 92;
-constexpr int kWgtBasePos = 80;
-constexpr int kIwNumPos = 70, kIwNumBits = 10;
-constexpr int kOwNumPos = 60, kOwNumBits = 10;
-constexpr int kOhNumPos = 57, kOhNumBits = 3;
-constexpr int kIcVecsPos = 45, kIcVecsBits = 12;
-constexpr int kOcVecsPos = 33, kOcVecsBits = 12;
-constexpr int kStridePos = 31, kStrideBits = 2;  // encodes stride-1
-constexpr int kReluPos = 30;
-constexpr int kQuanPos = 25, kQuanBits = 5;
-constexpr int kWinoPos = 24;
-constexpr int kWinoOffsetPos = 20, kWinoOffsetBits = 4;
-constexpr int kKhPos = 16, kKBits = 4;
-constexpr int kKwPos = 12;
-constexpr int kBaseRowPos = 8, kBaseRcBits = 4;
-constexpr int kBaseColPos = 4;
-constexpr int kAccumClearPos = 3;
-constexpr int kAccumEmitPos = 2;
-constexpr int kOutBuffIdPos = 1;
-}  // namespace comp
-
-// SAVE payload.
-namespace save {
-constexpr int kBuffBasePos = 104, kBuffBaseBits = 12;
-constexpr int kDramBasePos = 72, kDramBaseBits = 32;
-constexpr int kRowsPos = 66, kRowsBits = 6;
-constexpr int kColsPos = 54, kColsBits = 12;
-constexpr int kOcVecsPos = 42, kOcVecsBits = 12;
-constexpr int kLayoutPos = 40, kLayoutBits = 2;
-constexpr int kPoolPos = 37, kPoolBits = 3;
-constexpr int kOutHPos = 25, kDimBits = 12;
-constexpr int kOutWPos = 13;
-constexpr int kOcPitchPos = 0, kOcPitchBits = 13;
-}  // namespace save
-
-// SAVE_RES payload: the legacy SAVE layout is fully packed, so the residual
-// variant narrows the geometry fields (residual layers are conv-scale, never
-// FC-scale, and cannot fuse a pool) to fit the 28-bit residual source
-// address plus its layout flag and the deferred-ReLU flag.
-namespace save_res {
-constexpr int kBuffBasePos = 112, kBuffBaseBits = 4;
-constexpr int kDramBasePos = 84, kDramBaseBits = 28;
-constexpr int kResDramBasePos = 56, kResDramBaseBits = 28;
-constexpr int kRowsPos = 50, kRowsBits = 6;
-constexpr int kColsPos = 41, kColsBits = 9;
-constexpr int kOcVecsPos = 34, kOcVecsBits = 7;
-constexpr int kLayoutPos = 32, kLayoutBits = 2;
-constexpr int kResWinoPos = 31;
-constexpr int kReluPos = 30;
-constexpr int kOutHPos = 20, kDimBits = 10;
-constexpr int kOutWPos = 10;
-constexpr int kOcPitchPos = 0, kOcPitchBits = 10;
-}  // namespace save_res
-
-void EncodeHeader(Word128& w, Opcode op, std::uint8_t dept,
-                  std::uint8_t buff_id) {
-  SetField(w, kOpcodePos, kOpcodeBits, static_cast<std::uint64_t>(op));
-  SetField(w, kDeptPos, kDeptBits, dept);
-  SetField(w, kBuffIdPos, kBuffIdBits, buff_id);
+/// The payload rows of each format (CtrlFields has none).
+template <class F, class V>
+void ForEachRow(F& f, V&& v) {
+  using T = std::remove_const_t<F>;
+  if constexpr (std::is_same_v<T, LoadFields>) {
+    v("buff", 116, 2, f.buff_id);
+    v("base", 102, 14, f.buff_base);
+    v("dram", 74, 28, f.dram_base);
+    v("rows", 66, 8, f.rows);
+    v("cols", 56, 10, f.cols);
+    v("cv", 44, 12, f.chan_vecs);
+    v("aux", 32, 12, f.aux);
+    v("pitch", 20, 12, f.pitch);
+    v("pad", 16, 4, f.pad_t);
+    v("pad", 12, 4, f.pad_b);
+    v("pad", 8, 4, f.pad_l);
+    v("pad", 4, 4, f.pad_r);
+    v("wino", 3, 1, f.wino);
+    v("woff", 0, 3, f.wino_offset);
+  } else if constexpr (std::is_same_v<T, CompFields>) {
+    v("ib", 116, 1, f.inp_buff_id);
+    v("wb", 117, 1, f.wgt_buff_id);
+    v("ob", 1, 1, f.out_buff_id);
+    v("ibase", 104, 12, f.inp_buff_base);
+    v("obase", 92, 12, f.out_buff_base);
+    v("wbase", 80, 12, f.wgt_buff_base);
+    v("iw", 70, 10, f.iw_num);
+    v("ow", 60, 10, f.ow_num);
+    v("oh", 57, 3, f.oh_num);
+    v("icv", 45, 12, f.ic_vecs);
+    v("ocv", 33, 12, f.oc_vecs);
+    v("stride", 31, 2, f.stride, 1);
+    v("relu", 30, 1, f.relu);
+    v("quan", 25, 5, f.quan);
+    v("wino", 24, 1, f.wino);
+    v("woff", 20, 4, f.wino_offset);
+    v("kh", 16, 4, f.kh);
+    v("kw", 12, 4, f.kw);
+    v("brow", 8, 4, f.base_row);
+    v("bcol", 4, 4, f.base_col);
+    v("aclr", 3, 1, f.accum_clear);
+    v("aemit", 2, 1, f.accum_emit);
+  } else if constexpr (std::is_same_v<T, SaveFields>) {
+    // SAVE_RES narrows the geometry (residual layers are conv-scale and
+    // never pool) to make room for the residual source address.
+    const bool r = f.res_add;
+    v("buff", 116, 2, f.buff_id);
+    v("base", r ? 112 : 104, r ? 4 : 12, f.buff_base);
+    v("dram", r ? 84 : 72, r ? 28 : 32, f.dram_base);
+    v("rows", r ? 50 : 66, 6, f.rows);
+    v("cols", r ? 41 : 54, r ? 9 : 12, f.cols);
+    v("ocv", r ? 34 : 42, r ? 7 : 12, f.oc_vecs);
+    v("layout", r ? 32 : 40, 2, f.layout);
+    v("pool", 37, r ? 0 : 3, f.pool, r ? 1 : 0);
+    v("oh", r ? 20 : 25, r ? 10 : 12, f.out_h);
+    v("ow", r ? 10 : 13, r ? 10 : 12, f.out_w);
+    v("ocp", 0, r ? 10 : 13, f.oc_pitch);
+    if (!r) return;
+    v("rdram", 56, 28, f.res_dram_base);
+    v("rwino", 31, 1, f.res_wino);
+    v("relu", 30, 1, f.relu);
+  }
 }
 
-Instruction EncodeLoad(const LoadFields& f) {
+using Bits128 = unsigned __int128;
+
+Bits128 Join(const Word128& w) { return (Bits128{w.hi} << 64) | w.lo; }
+
+Word128 Split(Bits128 bits) {
+  return Word128{static_cast<std::uint64_t>(bits),
+                 static_cast<std::uint64_t>(bits >> 64)};
+}
+
+/// True when a row of `width` bits and `bias` holds `value`; the unsigned
+/// subtraction wraps for value < bias, which then fails as well.
+bool Fits(std::uint64_t value, int width, int bias) {
+  return value - static_cast<std::uint64_t>(bias) <= LowMask(width);
+}
+
+std::string RangeMessage(std::string_view key, const std::string& value,
+                         int width, int bias) {
+  return std::string(key) + "=" + value + " is out of range [" +
+         std::to_string(bias) + ", " +
+         std::to_string(LowMask(width) + static_cast<std::uint64_t>(bias)) +
+         "]";
+}
+
+[[noreturn, gnu::cold]] void ThrowOverflow(Opcode op, std::string_view key,
+                                           std::uint64_t value, int width,
+                                           int bias) {
+  throw InvalidArgument(std::string(OpcodeName(op)) + " " +
+                        RangeMessage(key, std::to_string(value), width, bias));
+}
+
+Opcode OpOf(const LoadFields& f) {
+  return f.keep_resident ? Opcode::kLoadInpKr : f.op;
+}
+Opcode OpOf(const CompFields&) { return Opcode::kComp; }
+Opcode OpOf(const SaveFields& f) {
+  if (f.keep_resident) return f.res_add ? Opcode::kSaveResKr : Opcode::kSaveKr;
+  return f.res_add ? Opcode::kSaveRes : Opcode::kSave;
+}
+Opcode OpOf(const CtrlFields& f) { return f.op; }
+
+/// The checks a row cannot express.
+void CheckSemantics(const LoadFields& f) {
   HDNN_CHECK(f.op == Opcode::kLoadInp || f.op == Opcode::kLoadWgt ||
              f.op == Opcode::kLoadBias)
-      << "EncodeLoad with non-load opcode";
+      << "LoadFields with non-load opcode";
   HDNN_CHECK(!f.keep_resident || f.op == Opcode::kLoadInp)
       << "keep_resident applies to LOAD_INP only";
-  Word128 w;
-  EncodeHeader(w, f.keep_resident ? Opcode::kLoadInpKr : f.op, f.dept,
-               f.buff_id);
-  SetField(w, load::kBuffBasePos, load::kBuffBaseBits, f.buff_base);
-  SetField(w, load::kDramBasePos, load::kDramBaseBits, f.dram_base);
-  SetField(w, load::kRowsPos, load::kRowsBits, f.rows);
-  SetField(w, load::kColsPos, load::kColsBits, f.cols);
-  SetField(w, load::kChanVecsPos, load::kChanVecsBits, f.chan_vecs);
-  SetField(w, load::kAuxPos, load::kAuxBits, f.aux);
-  SetField(w, load::kPitchPos, load::kPitchBits, f.pitch);
-  SetField(w, load::kPadTPos, load::kPadBits, f.pad_t);
-  SetField(w, load::kPadBPos, load::kPadBits, f.pad_b);
-  SetField(w, load::kPadLPos, load::kPadBits, f.pad_l);
-  SetField(w, load::kPadRPos, load::kPadBits, f.pad_r);
-  SetField(w, load::kWinoPos, 1, f.wino ? 1 : 0);
-  SetField(w, load::kWinoOffsetPos, load::kWinoOffsetBits, f.wino_offset);
-  return w;
+}
+void CheckSemantics(const CompFields&) {}
+void CheckSemantics(const SaveFields& f) {
+  HDNN_CHECK(f.res_add || !f.relu)
+      << "SAVE without a residual add cannot carry a ReLU (COMP fuses it)";
+}
+void CheckSemantics(const CtrlFields& f) {
+  HDNN_CHECK(f.op == Opcode::kNop || f.op == Opcode::kEnd)
+      << "control instruction must be NOP or END";
 }
 
-LoadFields DecodeLoad(const Word128& w, Opcode op) {
-  LoadFields f;
-  // The residency flag lives in the opcode (the payload is fully packed);
-  // `op` stays the architectural LOAD_INP.
-  f.keep_resident = op == Opcode::kLoadInpKr;
-  f.op = f.keep_resident ? Opcode::kLoadInp : op;
-  f.dept = static_cast<std::uint8_t>(GetField(w, kDeptPos, kDeptBits));
-  f.buff_id = static_cast<std::uint8_t>(GetField(w, kBuffIdPos, kBuffIdBits));
-  f.buff_base =
-      static_cast<std::uint32_t>(GetField(w, load::kBuffBasePos, load::kBuffBaseBits));
-  f.dram_base =
-      static_cast<std::uint32_t>(GetField(w, load::kDramBasePos, load::kDramBaseBits));
-  f.rows = static_cast<std::uint16_t>(GetField(w, load::kRowsPos, load::kRowsBits));
-  f.cols = static_cast<std::uint16_t>(GetField(w, load::kColsPos, load::kColsBits));
-  f.chan_vecs = static_cast<std::uint16_t>(
-      GetField(w, load::kChanVecsPos, load::kChanVecsBits));
-  f.aux = static_cast<std::uint16_t>(GetField(w, load::kAuxPos, load::kAuxBits));
-  f.pitch =
-      static_cast<std::uint16_t>(GetField(w, load::kPitchPos, load::kPitchBits));
-  f.pad_t = static_cast<std::uint8_t>(GetField(w, load::kPadTPos, load::kPadBits));
-  f.pad_b = static_cast<std::uint8_t>(GetField(w, load::kPadBPos, load::kPadBits));
-  f.pad_l = static_cast<std::uint8_t>(GetField(w, load::kPadLPos, load::kPadBits));
-  f.pad_r = static_cast<std::uint8_t>(GetField(w, load::kPadRPos, load::kPadBits));
-  f.wino = GetField(w, load::kWinoPos, 1) != 0;
-  f.wino_offset = static_cast<std::uint8_t>(
-      GetField(w, load::kWinoOffsetPos, load::kWinoOffsetBits));
-  return f;
-}
-
-Instruction EncodeComp(const CompFields& f) {
-  Word128 w;
-  HDNN_CHECK(f.stride >= 1 && f.stride <= 4) << "COMP stride " << int{f.stride};
-  HDNN_CHECK(f.inp_buff_id <= 1 && f.wgt_buff_id <= 1 && f.out_buff_id <= 1)
-      << "buffer halves are 0/1";
-  const std::uint8_t buff_id =
-      static_cast<std::uint8_t>(f.inp_buff_id | (f.wgt_buff_id << 1));
-  EncodeHeader(w, Opcode::kComp, f.dept, buff_id);
-  SetField(w, comp::kInpBasePos, comp::kBaseBits, f.inp_buff_base);
-  SetField(w, comp::kOutBasePos, comp::kBaseBits, f.out_buff_base);
-  SetField(w, comp::kWgtBasePos, comp::kBaseBits, f.wgt_buff_base);
-  SetField(w, comp::kIwNumPos, comp::kIwNumBits, f.iw_num);
-  SetField(w, comp::kOwNumPos, comp::kOwNumBits, f.ow_num);
-  SetField(w, comp::kOhNumPos, comp::kOhNumBits, f.oh_num);
-  SetField(w, comp::kIcVecsPos, comp::kIcVecsBits, f.ic_vecs);
-  SetField(w, comp::kOcVecsPos, comp::kOcVecsBits, f.oc_vecs);
-  SetField(w, comp::kStridePos, comp::kStrideBits,
-           static_cast<std::uint64_t>(f.stride - 1));
-  SetField(w, comp::kReluPos, 1, f.relu ? 1 : 0);
-  SetField(w, comp::kQuanPos, comp::kQuanBits, f.quan);
-  SetField(w, comp::kWinoPos, 1, f.wino ? 1 : 0);
-  SetField(w, comp::kWinoOffsetPos, comp::kWinoOffsetBits, f.wino_offset);
-  SetField(w, comp::kKhPos, comp::kKBits, f.kh);
-  SetField(w, comp::kKwPos, comp::kKBits, f.kw);
-  SetField(w, comp::kBaseRowPos, comp::kBaseRcBits, f.base_row);
-  SetField(w, comp::kBaseColPos, comp::kBaseRcBits, f.base_col);
-  SetField(w, comp::kAccumClearPos, 1, f.accum_clear ? 1 : 0);
-  SetField(w, comp::kAccumEmitPos, 1, f.accum_emit ? 1 : 0);
-  SetField(w, comp::kOutBuffIdPos, 1, f.out_buff_id);
-  return w;
-}
-
-CompFields DecodeComp(const Word128& w) {
-  CompFields f;
-  f.dept = static_cast<std::uint8_t>(GetField(w, kDeptPos, kDeptBits));
-  const auto buff_id = GetField(w, kBuffIdPos, kBuffIdBits);
-  f.inp_buff_id = static_cast<std::uint8_t>(buff_id & 1);
-  f.wgt_buff_id = static_cast<std::uint8_t>((buff_id >> 1) & 1);
-  f.inp_buff_base =
-      static_cast<std::uint16_t>(GetField(w, comp::kInpBasePos, comp::kBaseBits));
-  f.out_buff_base =
-      static_cast<std::uint16_t>(GetField(w, comp::kOutBasePos, comp::kBaseBits));
-  f.wgt_buff_base =
-      static_cast<std::uint16_t>(GetField(w, comp::kWgtBasePos, comp::kBaseBits));
-  f.iw_num = static_cast<std::uint16_t>(GetField(w, comp::kIwNumPos, comp::kIwNumBits));
-  f.ow_num = static_cast<std::uint16_t>(GetField(w, comp::kOwNumPos, comp::kOwNumBits));
-  f.oh_num = static_cast<std::uint8_t>(GetField(w, comp::kOhNumPos, comp::kOhNumBits));
-  f.ic_vecs =
-      static_cast<std::uint16_t>(GetField(w, comp::kIcVecsPos, comp::kIcVecsBits));
-  f.oc_vecs =
-      static_cast<std::uint16_t>(GetField(w, comp::kOcVecsPos, comp::kOcVecsBits));
-  f.stride = static_cast<std::uint8_t>(
-      GetField(w, comp::kStridePos, comp::kStrideBits) + 1);
-  f.relu = GetField(w, comp::kReluPos, 1) != 0;
-  f.quan = static_cast<std::uint8_t>(GetField(w, comp::kQuanPos, comp::kQuanBits));
-  f.wino = GetField(w, comp::kWinoPos, 1) != 0;
-  f.wino_offset = static_cast<std::uint8_t>(
-      GetField(w, comp::kWinoOffsetPos, comp::kWinoOffsetBits));
-  f.kh = static_cast<std::uint8_t>(GetField(w, comp::kKhPos, comp::kKBits));
-  f.kw = static_cast<std::uint8_t>(GetField(w, comp::kKwPos, comp::kKBits));
-  f.base_row =
-      static_cast<std::uint8_t>(GetField(w, comp::kBaseRowPos, comp::kBaseRcBits));
-  f.base_col =
-      static_cast<std::uint8_t>(GetField(w, comp::kBaseColPos, comp::kBaseRcBits));
-  f.accum_clear = GetField(w, comp::kAccumClearPos, 1) != 0;
-  f.accum_emit = GetField(w, comp::kAccumEmitPos, 1) != 0;
-  f.out_buff_id = static_cast<std::uint8_t>(GetField(w, comp::kOutBuffIdPos, 1));
-  return f;
-}
-
-/// One range check per narrowed SAVE_RES field: residual layers always fit
-/// (conv-scale geometry), and a violation must fail loudly at compile time
-/// of the model rather than silently truncate an address.
-void CheckFits(std::uint64_t value, int bits, const char* what) {
-  HDNN_CHECK(value < (1ull << bits))
-      << "SAVE_RES field " << what << " = " << value << " exceeds " << bits
-      << " bits";
-}
-
-Instruction EncodeSave(const SaveFields& f) {
-  Word128 w;
-  if (!f.res_add) {
-    HDNN_CHECK(!f.relu)
-        << "SAVE without a residual add cannot carry a ReLU (COMP fuses it)";
-    EncodeHeader(w, f.keep_resident ? Opcode::kSaveKr : Opcode::kSave, f.dept,
-                 f.buff_id);
-    SetField(w, save::kBuffBasePos, save::kBuffBaseBits, f.buff_base);
-    SetField(w, save::kDramBasePos, save::kDramBaseBits, f.dram_base);
-    SetField(w, save::kRowsPos, save::kRowsBits, f.rows);
-    SetField(w, save::kColsPos, save::kColsBits, f.cols);
-    SetField(w, save::kOcVecsPos, save::kOcVecsBits, f.oc_vecs);
-    SetField(w, save::kLayoutPos, save::kLayoutBits,
-             static_cast<std::uint64_t>(f.layout));
-    SetField(w, save::kPoolPos, save::kPoolBits, f.pool);
-    SetField(w, save::kOutHPos, save::kDimBits, f.out_h);
-    SetField(w, save::kOutWPos, save::kDimBits, f.out_w);
-    SetField(w, save::kOcPitchPos, save::kOcPitchBits, f.oc_pitch);
-    return w;
-  }
-  HDNN_CHECK(f.pool == 1) << "SAVE_RES cannot fuse a max-pool";
-  CheckFits(f.buff_base, save_res::kBuffBaseBits, "buff_base");
-  CheckFits(f.dram_base, save_res::kDramBaseBits, "dram_base");
-  CheckFits(f.res_dram_base, save_res::kResDramBaseBits, "res_dram_base");
-  CheckFits(f.rows, save_res::kRowsBits, "rows");
-  CheckFits(f.cols, save_res::kColsBits, "cols");
-  CheckFits(f.oc_vecs, save_res::kOcVecsBits, "oc_vecs");
-  CheckFits(f.out_h, save_res::kDimBits, "out_h");
-  CheckFits(f.out_w, save_res::kDimBits, "out_w");
-  CheckFits(f.oc_pitch, save_res::kOcPitchBits, "oc_pitch");
-  EncodeHeader(w, f.keep_resident ? Opcode::kSaveResKr : Opcode::kSaveRes,
-               f.dept, f.buff_id);
-  SetField(w, save_res::kBuffBasePos, save_res::kBuffBaseBits, f.buff_base);
-  SetField(w, save_res::kDramBasePos, save_res::kDramBaseBits, f.dram_base);
-  SetField(w, save_res::kResDramBasePos, save_res::kResDramBaseBits,
-           f.res_dram_base);
-  SetField(w, save_res::kRowsPos, save_res::kRowsBits, f.rows);
-  SetField(w, save_res::kColsPos, save_res::kColsBits, f.cols);
-  SetField(w, save_res::kOcVecsPos, save_res::kOcVecsBits, f.oc_vecs);
-  SetField(w, save_res::kLayoutPos, save_res::kLayoutBits,
-           static_cast<std::uint64_t>(f.layout));
-  SetField(w, save_res::kResWinoPos, 1, f.res_wino ? 1 : 0);
-  SetField(w, save_res::kReluPos, 1, f.relu ? 1 : 0);
-  SetField(w, save_res::kOutHPos, save_res::kDimBits, f.out_h);
-  SetField(w, save_res::kOutWPos, save_res::kDimBits, f.out_w);
-  SetField(w, save_res::kOcPitchPos, save_res::kOcPitchBits, f.oc_pitch);
-  return w;
-}
-
-SaveFields DecodeSave(const Word128& w, Opcode op) {
-  SaveFields f;
-  f.keep_resident = op == Opcode::kSaveKr || op == Opcode::kSaveResKr;
-  f.dept = static_cast<std::uint8_t>(GetField(w, kDeptPos, kDeptBits));
-  f.buff_id = static_cast<std::uint8_t>(GetField(w, kBuffIdPos, kBuffIdBits));
-  if (op == Opcode::kSave || op == Opcode::kSaveKr) {
-    f.buff_base = static_cast<std::uint16_t>(
-        GetField(w, save::kBuffBasePos, save::kBuffBaseBits));
-    f.dram_base = static_cast<std::uint32_t>(
-        GetField(w, save::kDramBasePos, save::kDramBaseBits));
-    f.rows = static_cast<std::uint8_t>(GetField(w, save::kRowsPos, save::kRowsBits));
-    f.cols = static_cast<std::uint16_t>(GetField(w, save::kColsPos, save::kColsBits));
-    f.oc_vecs =
-        static_cast<std::uint16_t>(GetField(w, save::kOcVecsPos, save::kOcVecsBits));
-    f.layout = static_cast<SaveLayout>(GetField(w, save::kLayoutPos, save::kLayoutBits));
-    f.pool = static_cast<std::uint8_t>(GetField(w, save::kPoolPos, save::kPoolBits));
-    f.out_h = static_cast<std::uint16_t>(GetField(w, save::kOutHPos, save::kDimBits));
-    f.out_w = static_cast<std::uint16_t>(GetField(w, save::kOutWPos, save::kDimBits));
-    f.oc_pitch =
-        static_cast<std::uint16_t>(GetField(w, save::kOcPitchPos, save::kOcPitchBits));
+/// The fields an opcode decodes into, with what the opcode itself carries
+/// (LOAD kind, residual add, keep-resident) already set.
+InstrFields BlankFields(Opcode op) {
+  if (op == Opcode::kComp) return CompFields{};
+  if (IsSaveOpcode(op)) {
+    SaveFields f;
+    f.res_add = op == Opcode::kSaveRes || op == Opcode::kSaveResKr;
+    f.keep_resident = op == Opcode::kSaveKr || op == Opcode::kSaveResKr;
     return f;
   }
-  f.res_add = true;
-  f.pool = 1;
-  f.buff_base = static_cast<std::uint16_t>(
-      GetField(w, save_res::kBuffBasePos, save_res::kBuffBaseBits));
-  f.dram_base = static_cast<std::uint32_t>(
-      GetField(w, save_res::kDramBasePos, save_res::kDramBaseBits));
-  f.res_dram_base = static_cast<std::uint32_t>(
-      GetField(w, save_res::kResDramBasePos, save_res::kResDramBaseBits));
-  f.rows = static_cast<std::uint8_t>(
-      GetField(w, save_res::kRowsPos, save_res::kRowsBits));
-  f.cols = static_cast<std::uint16_t>(
-      GetField(w, save_res::kColsPos, save_res::kColsBits));
-  f.oc_vecs = static_cast<std::uint16_t>(
-      GetField(w, save_res::kOcVecsPos, save_res::kOcVecsBits));
-  f.layout = static_cast<SaveLayout>(
-      GetField(w, save_res::kLayoutPos, save_res::kLayoutBits));
-  f.res_wino = GetField(w, save_res::kResWinoPos, 1) != 0;
-  f.relu = GetField(w, save_res::kReluPos, 1) != 0;
-  f.out_h = static_cast<std::uint16_t>(
-      GetField(w, save_res::kOutHPos, save_res::kDimBits));
-  f.out_w = static_cast<std::uint16_t>(
-      GetField(w, save_res::kOutWPos, save_res::kDimBits));
-  f.oc_pitch = static_cast<std::uint16_t>(
-      GetField(w, save_res::kOcPitchPos, save_res::kOcPitchBits));
+  if (op == Opcode::kNop || op == Opcode::kEnd) return CtrlFields{op, 0};
+  LoadFields f;
+  f.keep_resident = op == Opcode::kLoadInpKr;
+  f.op = f.keep_resident ? Opcode::kLoadInp : op;
   return f;
 }
+
+/// Writes each row into the word. Rows never overlap (IsaGoldenTest), so a
+/// field is OR-ed into a zeroed word.
+struct RowPacker {
+  Opcode op;
+  Bits128 bits;
+
+  template <class T>
+  void operator()(std::string_view key, int pos, int width, const T& member,
+                  int bias = 0) {
+    const auto value = static_cast<std::uint64_t>(member);
+    if (!Fits(value, width, bias)) [[unlikely]] {
+      ThrowOverflow(op, key, value, width, bias);
+    }
+    bits |= Bits128{value - static_cast<std::uint64_t>(bias)} << pos;
+  }
+};
+
+struct RowUnpacker {
+  Bits128 bits;
+
+  template <class T>
+  void operator()(std::string_view, int pos, int width, T& member,
+                  int bias = 0) const {
+    member = static_cast<T>((static_cast<std::uint64_t>(bits >> pos) &
+                             LowMask(width)) +
+                            static_cast<std::uint64_t>(bias));
+  }
+};
+
+/// Renders each row as ` key=value`, or `,value` when the key repeats.
+struct RowPrinter {
+  std::ostringstream& out;
+  std::string_view prev_key;
+
+  template <class T>
+  void operator()(std::string_view key, int, int, const T& member, int = 0) {
+    if (key == prev_key) {
+      out << ',';
+    } else {
+      out << ' ' << key << '=';
+    }
+    out << static_cast<std::uint64_t>(member);
+    prev_key = key;
+  }
+};
+
+/// The key=value tokens of one assembly line. Each row takes the next
+/// comma-separated value of its key; a key no row takes, or a value left
+/// over, is an error.
+class RowReader {
+ public:
+  explicit RowReader(std::istringstream& in) {
+    std::string token;
+    while (in >> token) {
+      const auto eq = token.find('=');
+      if (eq == std::string::npos) {
+        throw ParseError("malformed token '" + token +
+                         "' (expected key=value)");
+      }
+      Entry e{token.substr(0, eq), {}, 0};
+      for (std::size_t start = eq + 1;;) {
+        const auto comma = token.find(',', start);
+        e.values.push_back(token.substr(start, comma - start));
+        if (comma == std::string::npos) break;
+        start = comma + 1;
+      }
+      if (Find(e.key) != nullptr) {
+        throw ParseError("duplicate key '" + e.key + "'");
+      }
+      entries_.push_back(std::move(e));
+    }
+  }
+
+  template <class T>
+  void operator()(std::string_view key, int, int width, T& member,
+                  int bias = 0) {
+    Entry* e = Find(key);
+    if (e == nullptr) return;  // absent: the field keeps its default
+    if (e->taken == e->values.size()) {
+      throw ParseError("too few values for key '" + e->key + "'");
+    }
+    const std::string& text = e->values[e->taken++];
+    const std::uint64_t value = ParseNumber(text, e->key);
+    if (!Fits(value, width, bias)) {
+      throw ParseError(RangeMessage(key, text, width, bias));
+    }
+    member = static_cast<T>(value);
+  }
+
+  /// Throws on a key no row took or a value no row took.
+  void CheckAllTaken() const {
+    for (const Entry& e : entries_) {
+      if (e.taken == 0) throw ParseError("unknown key '" + e.key + "'");
+      if (e.taken != e.values.size()) {
+        throw ParseError("too many values for key '" + e.key + "'");
+      }
+    }
+  }
+
+ private:
+  struct Entry {
+    std::string key;
+    std::vector<std::string> values;
+    std::size_t taken;
+  };
+
+  Entry* Find(std::string_view key) {
+    for (Entry& e : entries_) {
+      if (e.key == key) return &e;
+    }
+    return nullptr;
+  }
+
+  /// Unsigned decimal or 0x-hex; signs and blanks are rejected.
+  static std::uint64_t ParseNumber(const std::string& text,
+                                   const std::string& key) {
+    std::size_t used = 0;
+    std::uint64_t value = 0;
+    if (!text.empty() && text[0] >= '0' && text[0] <= '9') {
+      try {
+        value = std::stoull(text, &used, 0);
+      } catch (const std::exception&) {
+        used = 0;
+      }
+    }
+    if (used == 0 || used != text.size()) {
+      throw ParseError("bad numeric value '" + text + "' for key '" + key +
+                       "'");
+    }
+    return value;
+  }
+
+  std::vector<Entry> entries_;
+};
 
 }  // namespace
 
 const char* OpcodeName(Opcode op) {
-  switch (op) {
-    case Opcode::kNop:
-      return "NOP";
-    case Opcode::kLoadInp:
-      return "LOAD_INP";
-    case Opcode::kLoadWgt:
-      return "LOAD_WGT";
-    case Opcode::kLoadBias:
-      return "LOAD_BIAS";
-    case Opcode::kComp:
-      return "COMP";
-    case Opcode::kSave:
-      return "SAVE";
-    case Opcode::kSaveRes:
-      return "SAVE_RES";
-    case Opcode::kEnd:
-      return "END";
-    case Opcode::kSaveKr:
-      return "SAVE_KR";
-    case Opcode::kSaveResKr:
-      return "SAVE_RES_KR";
-    case Opcode::kLoadInpKr:
-      return "LOAD_INP_KR";
-  }
-  return "INVALID";
+  const auto i = static_cast<std::size_t>(op);
+  return i < std::size(kOpcodeNames) ? kOpcodeNames[i] : "INVALID";
 }
 
 const char* SaveLayoutName(SaveLayout layout) {
@@ -365,75 +333,40 @@ const char* SaveLayoutName(SaveLayout layout) {
 }
 
 Opcode OpcodeOf(const InstrFields& fields) {
-  if (const auto* l = std::get_if<LoadFields>(&fields)) {
-    return l->keep_resident ? Opcode::kLoadInpKr : l->op;
-  }
-  if (std::holds_alternative<CompFields>(fields)) return Opcode::kComp;
-  if (const auto* s = std::get_if<SaveFields>(&fields)) {
-    if (s->keep_resident) {
-      return s->res_add ? Opcode::kSaveResKr : Opcode::kSaveKr;
-    }
-    return s->res_add ? Opcode::kSaveRes : Opcode::kSave;
-  }
-  return std::get<CtrlFields>(fields).op;
+  return std::visit([](const auto& f) { return OpOf(f); }, fields);
 }
 
 Instruction Encode(const InstrFields& fields) {
-  if (const auto* l = std::get_if<LoadFields>(&fields)) return EncodeLoad(*l);
-  if (const auto* c = std::get_if<CompFields>(&fields)) return EncodeComp(*c);
-  if (const auto* s = std::get_if<SaveFields>(&fields)) return EncodeSave(*s);
-  const auto& ctrl = std::get<CtrlFields>(fields);
-  HDNN_CHECK(ctrl.op == Opcode::kNop || ctrl.op == Opcode::kEnd)
-      << "control instruction must be NOP or END";
-  Word128 w;
-  EncodeHeader(w, ctrl.op, ctrl.dept, 0);
-  return w;
+  return std::visit(
+      [](const auto& f) {
+        CheckSemantics(f);
+        RowPacker pack{OpOf(f), Bits128{static_cast<std::uint8_t>(OpOf(f))}
+                                    << kOpcodePos};
+        pack("dept", kDeptPos, kDeptBits, f.dept);
+        ForEachRow(f, pack);
+        return Split(pack.bits);
+      },
+      fields);
 }
 
 Opcode PeekOpcode(const Instruction& instr) {
-  const auto raw = GetField(instr, kOpcodePos, kOpcodeBits);
-  switch (raw) {
-    case 0:
-    case 1:
-    case 2:
-    case 3:
-    case 4:
-    case 5:
-    case 6:
-    case 7:
-    case 8:
-    case 9:
-    case 10:
-      return static_cast<Opcode>(raw);
-    default:
-      throw InvalidArgument("invalid opcode " + std::to_string(raw));
+  const std::uint64_t raw = instr.hi >> (kOpcodePos - 64);
+  if (raw >= std::size(kOpcodeNames)) {
+    throw InvalidArgument("invalid opcode " + std::to_string(raw));
   }
+  return static_cast<Opcode>(raw);
 }
 
 InstrFields Decode(const Instruction& instr) {
-  const Opcode op = PeekOpcode(instr);
-  switch (op) {
-    case Opcode::kLoadInp:
-    case Opcode::kLoadWgt:
-    case Opcode::kLoadBias:
-    case Opcode::kLoadInpKr:
-      return DecodeLoad(instr, op);
-    case Opcode::kComp:
-      return DecodeComp(instr);
-    case Opcode::kSave:
-    case Opcode::kSaveRes:
-    case Opcode::kSaveKr:
-    case Opcode::kSaveResKr:
-      return DecodeSave(instr, op);
-    case Opcode::kNop:
-    case Opcode::kEnd: {
-      CtrlFields f;
-      f.op = op;
-      f.dept = static_cast<std::uint8_t>(GetField(instr, kDeptPos, kDeptBits));
-      return f;
-    }
-  }
-  throw InternalError("unreachable opcode in Decode");
+  InstrFields fields = BlankFields(PeekOpcode(instr));
+  std::visit(
+      [&](auto& f) {
+        const RowUnpacker unpack{Join(instr)};
+        unpack("dept", kDeptPos, kDeptBits, f.dept);
+        ForEachRow(f, unpack);
+      },
+      fields);
+  return fields;
 }
 
 void ValidateProgram(const std::vector<Instruction>& program) {
@@ -447,6 +380,71 @@ void ValidateProgram(const std::vector<Instruction>& program) {
     }
   }
   throw InvalidArgument("program is not END-terminated");
+}
+
+std::string Disassemble(const Instruction& instr) {
+  const InstrFields fields = Decode(instr);
+  std::ostringstream out;
+  out << OpcodeName(OpcodeOf(fields));
+  std::visit(
+      [&](const auto& f) {
+        // NOP and END print their DEPT_FLAG only when it is set.
+        if (!std::is_same_v<std::decay_t<decltype(f)>, CtrlFields> ||
+            f.dept != 0) {
+          out << " dept=0x" << std::hex << int{f.dept} << std::dec;
+        }
+        ForEachRow(f, RowPrinter{out, {}});
+      },
+      fields);
+  return out.str();
+}
+
+std::string DisassembleProgram(const std::vector<Instruction>& program) {
+  std::ostringstream out;
+  for (const Instruction& instr : program) out << Disassemble(instr) << "\n";
+  return out.str();
+}
+
+Instruction AssembleLine(const std::string& line) {
+  std::istringstream in(line);
+  std::string mnemonic;
+  if (!(in >> mnemonic)) throw ParseError("empty instruction line");
+  const auto name = std::find(std::begin(kOpcodeNames),
+                              std::end(kOpcodeNames), mnemonic);
+  if (name == std::end(kOpcodeNames)) {
+    throw ParseError("unknown mnemonic: " + mnemonic);
+  }
+  InstrFields fields =
+      BlankFields(static_cast<Opcode>(name - std::begin(kOpcodeNames)));
+  RowReader read(in);
+  std::visit(
+      [&](auto& f) {
+        read("dept", kDeptPos, kDeptBits, f.dept);
+        ForEachRow(f, read);
+      },
+      fields);
+  read.CheckAllTaken();
+  return Encode(fields);
+}
+
+std::vector<Instruction> AssembleProgram(const std::string& text) {
+  std::vector<Instruction> program;
+  std::istringstream in(text);
+  std::string line;
+  int line_no = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    const auto hash = line.find('#');
+    if (hash != std::string::npos) line = line.substr(0, hash);
+    const auto first = line.find_first_not_of(" \t\r");
+    if (first == std::string::npos) continue;
+    try {
+      program.push_back(AssembleLine(line));
+    } catch (const ParseError& e) {
+      throw ParseError("line " + std::to_string(line_no) + ": " + e.what());
+    }
+  }
+  return program;
 }
 
 }  // namespace hdnn

@@ -5,9 +5,9 @@
 //   OPCODE    4 bits  [124,128)
 //   DEPT_FLAG 6 bits  [118,124)   handshake-FIFO interactions (Sec. 4.1)
 //   BUFF_ID   2 bits  [116,118)   ping-pong half selectors
-// The remaining 116 bits are per-opcode payload; exact bit positions are
-// defined in codec.cc (the paper's figure names the fields but not their
-// positions — see DESIGN.md "Known divergences").
+// The remaining 116 bits are per-opcode payload. The paper's figure names
+// the fields but not their positions; each format's positions and widths
+// are one row table in codec.cc (see DESIGN.md "ISA row tables").
 //
 // Units: feature-map data is addressed in *vectors* of PI elements (inputs)
 // or PO elements (outputs); weights in vectors of PI*PO elements; DRAM in
@@ -86,7 +86,7 @@ struct LoadFields {
   std::uint8_t dept = 0;
   std::uint8_t buff_id = 0;       ///< destination ping-pong half
   std::uint32_t buff_base = 0;    ///< destination vector offset in the half
-  std::uint32_t dram_base = 0;    ///< source word address (28 bits)
+  std::uint32_t dram_base = 0;    ///< source word address
   std::uint16_t rows = 1;
   std::uint16_t cols = 1;
   std::uint16_t chan_vecs = 1;
@@ -94,7 +94,7 @@ struct LoadFields {
   std::uint16_t pitch = 0;        ///< total fmap width W (row stride)
   std::uint8_t pad_t = 0, pad_b = 0, pad_l = 0, pad_r = 0;
   bool wino = false;
-  std::uint8_t wino_offset = 0;   ///< informational slice index (3 bits)
+  std::uint8_t wino_offset = 0;   ///< informational slice index
   /// Fused segments: read the rectangle from the resident store instead of
   /// DRAM (LOAD_INP only; encoded as opcode kLoadInpKr — `op` stays the
   /// architectural kLoadInp). The addressing fields keep their meaning: the
@@ -151,11 +151,9 @@ const char* SaveLayoutName(SaveLayout layout);
 /// Plain SAVE (res_add == false) encodes as opcode 5 with the legacy layout
 /// — its 116 payload bits are fully allocated, so the residual variant is a
 /// distinct opcode (6) with narrower geometry fields making room for the
-/// residual source address:
-///   buff_base 4, dram_base 28, res_dram_base 28, rows 6, cols 9,
-///   oc_vecs 7, layout 2, res_wino 1, relu 1, out_h 10, out_w 10,
-///   oc_pitch 10  (= 116 bits; no fused pool — residual layers cannot pool).
-/// Encode() checks the tighter limits and rejects values that do not fit.
+/// residual source address, and no fused pool (residual layers cannot
+/// pool). Encode() checks the tighter limits and rejects values that do not
+/// fit.
 struct SaveFields {
   std::uint8_t dept = 0;
   std::uint8_t buff_id = 0;      ///< source output-buffer half
@@ -168,7 +166,7 @@ struct SaveFields {
   std::uint8_t pool = 1;         ///< max-pool window (1 = none)
   std::uint16_t out_h = 1;       ///< total output height after pooling
   std::uint16_t out_w = 1;       ///< total output width after pooling
-  std::uint16_t oc_pitch = 1;    ///< total output channels, padded (13 bits)
+  std::uint16_t oc_pitch = 1;    ///< total output channels, padded
   // Residual-add extension (SAVE_RES only).
   bool res_add = false;          ///< fuse an element-wise residual add
   bool res_wino = false;         ///< residual source DRAM layout is WINO

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/prng.h"
@@ -80,7 +81,7 @@ SaveFields SampleSave(Prng& prng) {
 }
 
 /// SAVE_RES narrows the geometry fields to fit the residual address; sample
-/// within its tighter limits (see codec.cc save_res).
+/// within its tighter limits (see the SAVE rows in codec.cc).
 SaveFields SampleSaveRes(Prng& prng) {
   SaveFields f;
   f.dept = static_cast<std::uint8_t>(prng.NextInt(0, 63));
@@ -473,6 +474,171 @@ TEST(IsaGoldenTest, RowsAreDisjointAndBelowTheHeader) {
     }
     EXPECT_EQ(PopCount(used), f.used_bits) << f.name;
   }
+}
+
+
+/// `text` must be rejected with a ParseError naming line `line` and `key`.
+void ExpectLocatedParseError(const std::string& text, int line,
+                             const std::string& key) {
+  try {
+    AssembleProgram(text);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const ParseError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line " + std::to_string(line) + ":"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(key), std::string::npos) << what;
+  }
+}
+
+TEST(AssemblerTest, RejectsOutOfRangeValuesWithLineAndKey) {
+  ExpectLocatedParseError("NOP\nCOMP kh=256\n", 2, "kh");
+  ExpectLocatedParseError("NOP\nSAVE layout=256\n", 2, "layout");
+  ExpectLocatedParseError("NOP\nCOMP stride=257\n", 2, "stride");
+  ExpectLocatedParseError("NOP\nLOAD_WGT pad=256,0,0,0\n", 2, "pad");
+  ExpectLocatedParseError("COMP kh=16\n", 1, "kh");
+  ExpectLocatedParseError("NOP\nNOP\nLOAD_INP dept=0x140\n", 3, "dept");
+  ExpectLocatedParseError("COMP stride=0\n", 1, "stride");
+  ExpectLocatedParseError("SAVE_RES pool=2\n", 1, "pool");
+}
+
+TEST(AssemblerTest, RejectsUnknownAndDuplicateKeys) {
+  ExpectLocatedParseError("NOP\nCOMP khh=5\n", 2, "khh");
+  ExpectLocatedParseError("COMP oh=1 oh=7\n", 1, "oh");
+  ExpectLocatedParseError("SAVE relu=1\n", 1, "relu");  // SAVE_RES only
+  ExpectLocatedParseError("END foo=1\n", 1, "foo");
+}
+
+TEST(AssemblerTest, RejectsNegativeAndSignedNumbers) {
+  ExpectLocatedParseError("COMP kh=-1\n", 1, "kh");
+  ExpectLocatedParseError("NOP\nLOAD_INP rows=-1\n", 2, "rows");
+  ExpectLocatedParseError("LOAD_INP pad=0,-0,0,0\n", 1, "pad");
+  ExpectLocatedParseError("COMP ow=+3\n", 1, "ow");
+}
+
+TEST(AssemblerTest, RejectsWrongValueCounts) {
+  ExpectLocatedParseError("LOAD_INP pad=1,1,1\n", 1, "pad");
+  ExpectLocatedParseError("LOAD_INP pad=1,1,1,1,1\n", 1, "pad");
+  ExpectLocatedParseError("COMP ow=1,2\n", 1, "ow");
+  ExpectLocatedParseError("COMP ow=\n", 1, "ow");
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation fuzz of assembly text: every mutant of the disassembled
+// TinyCnn program either assembles to words whose disassembly repeats each
+// key=value of the mutant, or throws a ParseError naming the mutated line.
+
+std::vector<std::string> SplitWords(const std::string& line) {
+  std::vector<std::string> words;
+  std::istringstream in(line);
+  std::string w;
+  while (in >> w) words.push_back(w);
+  return words;
+}
+
+std::string JoinWords(const std::vector<std::string>& words) {
+  std::string out;
+  for (const std::string& w : words) out += (out.empty() ? "" : " ") + w;
+  return out;
+}
+
+/// One seeded mutation of a line: a token dropped or duplicated, a number
+/// replaced by a random value below 2^33, or a key altered.
+std::string MutateLine(const std::string& line, Prng& prng) {
+  auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(
+        prng.NextInt(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const auto kind = prng.NextInt(0, 3);
+  if (kind <= 1) {
+    std::vector<std::string> words = SplitWords(line);
+    auto nth = [&](std::size_t i) {
+      return words.begin() + static_cast<std::ptrdiff_t>(i);
+    };
+    const std::size_t at = pick(words.size());
+    if (kind == 0) {
+      words.erase(nth(at));
+    } else {
+      const std::string copy = words[at];
+      words.insert(nth(pick(words.size() + 1)), copy);
+    }
+    return JoinWords(words);
+  }
+  TextLine text(line);
+  if (text.kv.empty()) return line;
+  auto& [key, values] = text.kv[pick(text.kv.size())];
+  if (kind == 2) {
+    const int bits = static_cast<int>(prng.NextInt(1, 33));
+    values[pick(values.size())] =
+        std::to_string(prng.NextU64() & LowMask(bits));
+  } else {
+    const char c = static_cast<char>('a' + prng.NextInt(0, 25));
+    const std::size_t at = pick(key.size() + 1);
+    if (at == key.size()) {
+      key += c;
+    } else {
+      key[at] = c;
+    }
+  }
+  return text.Render();
+}
+
+std::uint64_t TextNumber(const std::string& s) {
+  return std::stoull(s, nullptr, 0);
+}
+
+TEST(AssemblerFuzzTest, MutantsAssembleFaithfullyOrFailWithTheirLine) {
+  const std::string text = DisassembleProgram(
+      CompileGoldenProgram("tiny_cnn", "PYNQ-Z1", /*fused=*/true));
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string l; std::getline(in, l);) lines.push_back(l);
+  Prng prng(0xa55e3b1e);
+  int accepted = 0, rejected = 0;
+  for (int iter = 0; iter < 1500; ++iter) {
+    const std::size_t at = static_cast<std::size_t>(
+        prng.NextInt(0, static_cast<std::int64_t>(lines.size()) - 1));
+    const std::string mutant = MutateLine(lines[at], prng);
+    std::string mutated_text;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      mutated_text += (i == at ? mutant : lines[i]) + "\n";
+    }
+    try {
+      const std::vector<Instruction> program = AssembleProgram(mutated_text);
+      ++accepted;
+      if (SplitWords(mutant).empty()) {  // a dropped lone END
+        EXPECT_EQ(program.size(), lines.size() - 1);
+        continue;
+      }
+      ASSERT_EQ(program.size(), lines.size()) << mutant;
+      const TextLine want(mutant);
+      const TextLine got(Disassemble(program[at]));
+      EXPECT_EQ(got.mnemonic, want.mnemonic) << mutant;
+      for (const auto& [key, values] : want.kv) {
+        const auto it =
+            std::find_if(got.kv.begin(), got.kv.end(),
+                         [&](const auto& kv) { return kv.first == key; });
+        ASSERT_NE(it, got.kv.end()) << "key " << key << " lost: " << mutant;
+        ASSERT_EQ(it->second.size(), values.size()) << mutant;
+        for (std::size_t i = 0; i < values.size(); ++i) {
+          EXPECT_EQ(TextNumber(it->second[i]), TextNumber(values[i]))
+              << key << " in: " << mutant;
+        }
+      }
+    } catch (const ParseError& e) {
+      ++rejected;
+      const std::string where = "line " + std::to_string(at + 1) + ":";
+      EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+          << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant threw a non-ParseError: " << e.what() << "\n"
+                    << mutant;
+    }
+  }
+  // Both outcomes occur, so neither branch is vacuous.
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
 }
 
 }  // namespace

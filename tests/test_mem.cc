@@ -195,29 +195,6 @@ TEST(LayoutTest, OutOfBoundsCoordinateThrows) {
                InvalidArgument);
 }
 
-// --- on-chip buffers ---
-
-TEST(PingPongBufferTest, HalvesAreIndependent) {
-  PingPongBuffer buf("test", 16);
-  buf.Write(0, 3, 111);
-  buf.Write(1, 3, 222);
-  EXPECT_EQ(buf.Read(0, 3), 111);
-  EXPECT_EQ(buf.Read(1, 3), 222);
-}
-
-TEST(PingPongBufferTest, CapacityEnforced) {
-  PingPongBuffer buf("test", 8);
-  EXPECT_THROW(buf.Write(0, 8, 1), InvalidArgument);
-  EXPECT_THROW(buf.Read(2, 0), InvalidArgument);
-}
-
-TEST(PingPongBufferTest, FillHalf) {
-  PingPongBuffer buf("test", 4);
-  buf.FillHalf(0, 9);
-  EXPECT_EQ(buf.Read(0, 3), 9);
-  EXPECT_EQ(buf.Read(1, 3), 0);
-}
-
 // --- Table 1 partition factors ---
 
 TEST(PartitionTest, Table1FactorsWinograd) {
