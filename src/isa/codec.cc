@@ -340,8 +340,9 @@ Instruction Encode(const InstrFields& fields) {
   return std::visit(
       [](const auto& f) {
         CheckSemantics(f);
-        RowPacker pack{OpOf(f), Bits128{static_cast<std::uint8_t>(OpOf(f))}
-                                    << kOpcodePos};
+        const Opcode op = OpOf(f);
+        RowPacker pack{op,
+                       Bits128{static_cast<std::uint8_t>(op)} << kOpcodePos};
         pack("dept", kDeptPos, kDeptBits, f.dept);
         ForEachRow(f, pack);
         return Split(pack.bits);
