@@ -256,6 +256,41 @@ TEST(RuntimeIntegrityTest, CorruptionInCollectionWindowThrowsOrServesSilently) {
   }
 }
 
+// A fault that fires while the weights are being staged flips a word of an
+// earlier, already written weight block: that inference computes with the
+// corrupted weight, but the flip must not outlive it — a retry on the same
+// Runtime reproduces the clean output.
+TEST(RuntimeIntegrityTest, FaultDuringWeightStagingDoesNotPoisonRetry) {
+  IntegrityFixture fx;
+  ASSERT_GE(fx.model.num_layers(), 2);
+  Runtime rt(fx.cfg, TestSpec());
+  const RunReport golden = rt.Execute(fx.model, fx.cm, fx.weights, fx.input);
+  const std::int64_t read = rt.dram()->words_read();
+  const std::int64_t written = rt.dram()->words_written();
+
+  // Staging writes the images in address order from word 0, so the
+  // cumulative count reaches this threshold while layer 1's weights are
+  // written — after layer 0's block at `addr` already holds its value.
+  const LayerPlan& p0 = fx.cm.plans[0];
+  const LayerPlan& p1 = fx.cm.plans[1];
+  ASSERT_GT(p1.wgt_dram_base, p0.wgt_dram_base);
+  rt.dram()->ArmFault({/*after_total_words=*/p1.wgt_dram_base + 1,
+                       /*addr=*/p0.wgt_dram_base, /*xor_mask=*/0x0010});
+  const RunReport poisoned =
+      rt.Execute(fx.model, fx.cm, fx.weights, fx.input);
+  EXPECT_EQ(rt.dram()->injected_faults(), 1);
+  EXPECT_NE(poisoned.output, golden.output);
+  // Pinned digest of the poisoned output: the flip lands on the same
+  // staged word, at the same point of the epoch, in every version.
+  EXPECT_EQ(Crc32(poisoned.output.storage()), 0x0e2dbf9eu);
+
+  const RunReport retry = rt.Execute(fx.model, fx.cm, fx.weights, fx.input);
+  EXPECT_EQ(retry.output, golden.output);
+  EXPECT_EQ(retry.stats.total_cycles, golden.stats.total_cycles);
+  EXPECT_EQ(rt.dram()->words_read(), read);
+  EXPECT_EQ(rt.dram()->words_written(), written);
+}
+
 TEST(RuntimeIntegrityTest, DisabledCheckIsStatsIdenticalToLegacy) {
   IntegrityFixture fx;
   Runtime off(fx.cfg, TestSpec());

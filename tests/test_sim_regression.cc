@@ -158,6 +158,89 @@ TEST(RuntimeReuseTest, RepeatedExecutesAreBitAndCycleIdentical) {
   EXPECT_EQ(after.stats.total_cycles, first.stats.total_cycles);
 }
 
+/// Golden output of MixedModel under `weights` (refconv/winograd
+/// references, independent of the Runtime).
+Tensor<std::int16_t> MixedGolden(const CompiledModel& cm, const Model& m,
+                                 const ModelWeightsQ& weights,
+                                 const Tensor<std::int16_t>& input) {
+  std::vector<LayerMapping> effective;
+  for (const LayerPlan& plan : cm.plans) effective.push_back(plan.mapping);
+  return ::hdnn::testing::GoldenForward(m, weights, input, effective, cm.cfg,
+                                        cm.base_shift);
+}
+
+// Fault thresholds (DramFault::after_total_words) count the epoch's
+// functional traffic, so every functional Execute on one Runtime must
+// report the same DRAM counters as the first, whatever the Runtime kept
+// from the run before.
+TEST(RuntimeReuseTest, RepeatedExecutesKeepTrafficCountersIdentical) {
+  const Model m = MixedModel();
+  const AccelConfig cfg = TestConfig(4);
+  const FpgaSpec spec = TestSpec();
+  const CompiledModel cm = Compiler(cfg, spec).Compile(m, MixedMapping());
+  const ModelWeightsQ weights = SyntheticWeights(m, 11);
+  const Tensor<std::int16_t> input =
+      ::hdnn::testing::MakeInput(m.InputOf(0), 12);
+
+  Runtime runtime(cfg, spec);
+  const RunReport first = runtime.Execute(m, cm, weights, input);
+  const std::int64_t read = runtime.dram()->words_read();
+  const std::int64_t written = runtime.dram()->words_written();
+  EXPECT_EQ(first.output, MixedGolden(cm, m, weights, input));
+  for (int i = 0; i < 3; ++i) {
+    const RunReport again = runtime.Execute(m, cm, weights, input);
+    EXPECT_EQ(runtime.dram()->words_read(), read) << "repeat " << i;
+    EXPECT_EQ(runtime.dram()->words_written(), written) << "repeat " << i;
+    EXPECT_EQ(again.output, first.output) << "repeat " << i;
+    EXPECT_EQ(again.stats.total_cycles, first.stats.total_cycles);
+  }
+}
+
+// Weights mutated in place between two Executes on one Runtime: the second
+// run must compute with the new weights.
+TEST(RuntimeReuseTest, InPlaceWeightMutationIsSeen) {
+  const Model m = MixedModel();
+  const AccelConfig cfg = TestConfig(4);
+  const FpgaSpec spec = TestSpec();
+  const CompiledModel cm = Compiler(cfg, spec).Compile(m, MixedMapping());
+  ModelWeightsQ weights = SyntheticWeights(m, 11);
+  const Tensor<std::int16_t> input =
+      ::hdnn::testing::MakeInput(m.InputOf(0), 12);
+
+  Runtime runtime(cfg, spec);
+  const RunReport before = runtime.Execute(m, cm, weights, input);
+  weights[2].weights.at(0, 0, 1, 1) = 120;
+  const Tensor<std::int16_t> golden = MixedGolden(cm, m, weights, input);
+  ASSERT_NE(golden, before.output) << "the mutation must change the output";
+  const RunReport after = runtime.Execute(m, cm, weights, input);
+  EXPECT_EQ(after.output, golden);
+}
+
+// A timing-only Execute (which skips data preparation) between two
+// functional ones leaves the later functional run unchanged.
+TEST(RuntimeReuseTest, TimingOnlyRunBetweenFunctionalRunsIsInvisible) {
+  const Model m = MixedModel();
+  const AccelConfig cfg = TestConfig(4);
+  const FpgaSpec spec = TestSpec();
+  const CompiledModel cm = Compiler(cfg, spec).Compile(m, MixedMapping());
+  const ModelWeightsQ weights = SyntheticWeights(m, 11);
+  const Tensor<std::int16_t> input =
+      ::hdnn::testing::MakeInput(m.InputOf(0), 12);
+
+  Runtime runtime(cfg, spec);
+  const RunReport first = runtime.Execute(m, cm, weights, input);
+  const std::int64_t read = runtime.dram()->words_read();
+  const std::int64_t written = runtime.dram()->words_written();
+  const RunReport timing =
+      runtime.Execute(m, cm, weights, input, /*functional=*/false);
+  EXPECT_EQ(timing.stats.total_cycles, first.stats.total_cycles);
+  const RunReport later = runtime.Execute(m, cm, weights, input);
+  EXPECT_EQ(later.output, first.output);
+  EXPECT_EQ(later.stats.total_cycles, first.stats.total_cycles);
+  EXPECT_EQ(runtime.dram()->words_read(), read);
+  EXPECT_EQ(runtime.dram()->words_written(), written);
+}
+
 TEST(DramModelResetTest, ResetZeroesAndResizesReusingStorage) {
   DramModel dram(64);
   dram.Write(10, 1234);
