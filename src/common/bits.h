@@ -1,17 +1,14 @@
-// Bit-manipulation helpers used by the 128-bit instruction encoder.
+// The 128-bit instruction word and the low-bit mask its codec uses.
 #ifndef HDNN_COMMON_BITS_H_
 #define HDNN_COMMON_BITS_H_
 
 #include <cstdint>
 
-#include "common/check.h"
-
 namespace hdnn {
 
-/// A 128-bit word addressed as two 64-bit halves, with [set|get]Field
-/// operating on a flat bit index space: bit 0 is the LSB of `lo`, bit 64 the
-/// LSB of `hi`, bit 127 the MSB of `hi`. Fields may not straddle byte lanes
-/// arbitrarily — they may span the lo/hi boundary.
+/// A 128-bit word addressed as two 64-bit halves over a flat bit index
+/// space: bit 0 is the LSB of `lo`, bit 64 the LSB of `hi`, bit 127 the MSB
+/// of `hi`.
 struct Word128 {
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
@@ -22,48 +19,6 @@ struct Word128 {
 /// Returns a mask with `width` low bits set. width must be in [1, 64].
 constexpr std::uint64_t LowMask(int width) {
   return width >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);
-}
-
-/// True iff `value` fits in an unsigned field of `width` bits.
-constexpr bool FitsUnsigned(std::uint64_t value, int width) {
-  return width >= 64 || value <= LowMask(width);
-}
-
-/// Writes `value` into bits [pos, pos+width) of `w`. The field must fit in
-/// the word, value must fit in the field and width must be in [1, 64].
-inline void SetField(Word128& w, int pos, int width, std::uint64_t value) {
-  HDNN_CHECK(width >= 1 && width <= 64) << "field width " << width;
-  HDNN_CHECK(pos >= 0 && pos + width <= 128)
-      << "field [" << pos << ", " << pos + width << ") exceeds 128 bits";
-  HDNN_CHECK(FitsUnsigned(value, width))
-      << "value " << value << " does not fit in " << width << " bits";
-  auto write_half = [](std::uint64_t& half, int p, int wd,
-                       std::uint64_t val) {
-    const std::uint64_t mask = LowMask(wd) << p;
-    half = (half & ~mask) | ((val << p) & mask);
-  };
-  if (pos + width <= 64) {
-    write_half(w.lo, pos, width, value);
-  } else if (pos >= 64) {
-    write_half(w.hi, pos - 64, width, value);
-  } else {
-    const int lo_bits = 64 - pos;
-    write_half(w.lo, pos, lo_bits, value & LowMask(lo_bits));
-    write_half(w.hi, 0, width - lo_bits, value >> lo_bits);
-  }
-}
-
-/// Reads bits [pos, pos+width) of `w` as an unsigned value.
-inline std::uint64_t GetField(const Word128& w, int pos, int width) {
-  HDNN_CHECK(width >= 1 && width <= 64) << "field width " << width;
-  HDNN_CHECK(pos >= 0 && pos + width <= 128)
-      << "field [" << pos << ", " << pos + width << ") exceeds 128 bits";
-  if (pos + width <= 64) return (w.lo >> pos) & LowMask(width);
-  if (pos >= 64) return (w.hi >> (pos - 64)) & LowMask(width);
-  const int lo_bits = 64 - pos;
-  const std::uint64_t low = w.lo >> pos;
-  const std::uint64_t high = w.hi & LowMask(width - lo_bits);
-  return low | (high << lo_bits);
 }
 
 }  // namespace hdnn

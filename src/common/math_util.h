@@ -45,6 +45,16 @@ constexpr int Log2Floor(std::int64_t v) {
   return r;
 }
 
+/// One FNV-1a step: folds the 8 bytes of `v` into `h` (seed `h` with the
+/// offset basis 0xcbf29ce484222325). The runtime's hashes (config, model
+/// structure, compile-cache key, weight-image fingerprint) all use it.
+inline void HashMix(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ull;
+  }
+}
+
 /// Nearest-rank percentile of an ascending-sorted sample (q in [0,1]): the
 /// ceil(q * n)-th smallest value, the smallest for q = 0, and 0 for an
 /// empty sample.

@@ -197,11 +197,18 @@ class Checker {
     if (f.dram_base >= cm_.total_dram_words) {
       Violation("SAVE writes past the DRAM map");
     }
+    // The weight and bias images below fmap_base are read-only to the
+    // device: only host staging writes there, which is what lets a Runtime
+    // keep them resident across inferences (DESIGN.md Sec. 4).
     // Residency bookkeeping: a keep-resident SAVE marks its slot (the
     // consumer's LOAD_INP_KR will read it); a plain SAVE re-claims the slot
     // for DRAM (slot reuse after the resident tensor dies).
     const int dst_slot = SlotOf(f.dram_base);
-    if (f.keep_resident) {
+    if (f.dram_base < cm_.fmap_base) {
+      Violation("SAVE writes the read-only weight image: dram_base " +
+                std::to_string(f.dram_base) + " below fmap_base " +
+                std::to_string(cm_.fmap_base));
+    } else if (f.keep_resident) {
       if (dst_slot < 0) {
         Violation("keep-resident SAVE writes outside the fmap slot region");
       } else {

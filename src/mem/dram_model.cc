@@ -22,6 +22,19 @@ void DramModel::Reset(std::int64_t words) {
   words_written_ = 0;
 }
 
+void DramModel::ResetKeepingPrefix(std::int64_t kept_words) {
+  HDNN_CHECK(kept_words >= 0 && kept_words <= size_words())
+      << "kept prefix " << kept_words << " outside 0.." << size_words();
+  HDNN_CHECK(faults_.empty())
+      << "a warm re-stage cannot replay " << faults_.size()
+      << " armed fault(s)";
+  std::fill(words_.begin() + static_cast<std::ptrdiff_t>(kept_words),
+            words_.end(), 0);
+  next_free_ = 0;
+  words_read_ = 0;
+  words_written_ = kept_words;
+}
+
 std::int16_t DramModel::Read(std::int64_t addr) const {
   HDNN_CHECK(addr >= 0 && addr < size_words())
       << "DRAM read out of range: " << addr << " / " << size_words();

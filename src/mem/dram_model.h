@@ -36,6 +36,15 @@ class DramModel {
   /// resets the bump allocator and the access statistics.
   void Reset(std::int64_t words);
 
+  /// Warm re-stage of a resident prefix (Runtime weight residency, DESIGN.md
+  /// Sec. 4): leaves the model exactly as Reset(size_words()) followed by
+  /// re-writing [0, kept_words) with its current contents would — the
+  /// prefix keeps its words, [kept_words, size_words()) is zeroed, the
+  /// allocator restarts, and the statistics restart with `kept_words`
+  /// counted as written. Requires that no fault is armed: a real re-write
+  /// would fire armed faults transaction by transaction.
+  void ResetKeepingPrefix(std::int64_t kept_words);
+
   std::int64_t size_words() const {
     return static_cast<std::int64_t>(words_.size());
   }

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/math_util.h"
 #include "quant/quant_config.h"
 
 namespace hdnn {

@@ -1,15 +1,96 @@
 #include "runtime/runtime.h"
 
 #include <algorithm>
-
+#include <cstring>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "common/fault.h"
+#include "common/math_util.h"
 #include "compiler/stream_check.h"
 #include "mem/layout.h"
 
 namespace hdnn {
+namespace {
+
+/// Folds a tensor's shape and element bytes into `h`, eight bytes per
+/// HashMix step (the last step zero-padded).
+template <typename T>
+void HashTensor(std::uint64_t& h, const Tensor<T>& t) {
+  HashMix(h, static_cast<std::uint64_t>(t.shape().rank()));
+  for (const std::int64_t d : t.shape().dims()) {
+    HashMix(h, static_cast<std::uint64_t>(d));
+  }
+  const auto* bytes = reinterpret_cast<const unsigned char*>(t.data());
+  std::size_t left = t.storage().size() * sizeof(T);
+  for (; left > 0; bytes += 8, left -= std::min<std::size_t>(left, 8)) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, bytes, std::min<std::size_t>(left, 8));
+    HashMix(h, word);
+  }
+}
+
+/// Content fingerprint of every input WriteWeightImages reads, plus the
+/// DRAM map the image sits in. It hashes values, never addresses, so
+/// weights edited in place change it.
+std::uint64_t WeightImageFingerprint(const CompiledModel& cm,
+                                     const Model& model,
+                                     const ModelWeightsQ& weights) {
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV offset basis
+  const auto mix = [&h](std::int64_t v) {
+    HashMix(h, static_cast<std::uint64_t>(v));
+  };
+  mix(cm.cfg.pi);
+  mix(cm.cfg.po);
+  mix(cm.cfg.pt);
+  mix(cm.fmap_base);
+  mix(cm.total_dram_words);
+  mix(model.num_layers());
+  for (int li = 0; li < model.num_layers(); ++li) {
+    const LayerPlan& plan = cm.plans[static_cast<std::size_t>(li)];
+    const ConvLayer& layer = model.layer(li);
+    mix(static_cast<std::int64_t>(plan.mapping.mode));
+    mix(plan.groups.gk);
+    mix(plan.groups.k_per_group);
+    mix(plan.groups.cb);
+    mix(plan.groups.c_per_block);
+    mix(plan.groups.slices);
+    mix(plan.in_shape.channels);
+    mix(plan.u_shift);
+    mix(plan.wgt_dram_base);
+    mix(plan.wgt_dram_words);
+    mix(plan.bias_dram_base);
+    mix(layer.out_channels);
+    mix(layer.in_channels);
+    mix(layer.kernel_h);
+    mix(layer.kernel_w);
+  }
+  mix(static_cast<std::int64_t>(weights.size()));
+  for (const LayerWeightsQ& lw : weights) {
+    HashTensor(h, lw.weights);
+    HashTensor(h, lw.bias);
+  }
+  return h;
+}
+
+/// True when the layers' weight and bias runs, in layer order, tile
+/// [0, cm.fmap_base) exactly: the image is then all of DRAM below
+/// fmap_base, and packing it writes exactly fmap_base words. Compiler
+/// output always does; other layouts are never kept resident.
+bool WeightImagesTile(const CompiledModel& cm, const Model& model) {
+  std::int64_t end = 0;
+  for (int li = 0; li < model.num_layers(); ++li) {
+    const LayerPlan& plan = cm.plans[static_cast<std::size_t>(li)];
+    if (plan.wgt_dram_base != end) return false;
+    end += WeightImageWords(plan, model.layer(li), cm.cfg);
+    if (plan.bias_dram_base != end) return false;
+    end += BiasImageWords(model.layer(li), cm.cfg);
+  }
+  return end == cm.fmap_base;
+}
+
+}  // namespace
 
 Runtime::Runtime(const AccelConfig& cfg, const FpgaSpec& spec)
     : cfg_(cfg), spec_(spec) {
@@ -84,14 +165,33 @@ RunReport Runtime::Execute(const Model& model, const CompiledModel& cm,
   // time (cm.decoded); only hand-built CompiledModels pay per-run QA.
   if (!cm.decoded) RequireValidStream(cm);
   const std::int64_t dram_words = cm.total_dram_words + 1024;
-  if (!dram_) {
+  // Weight residency (DESIGN.md Sec. 4). Only a run that starts with no
+  // fault armed may leave its image resident; every run clears the record
+  // first, so a timing-only run, a faulted run or a throw forces the next
+  // functional run cold.
+  const std::optional<Residency> previous =
+      std::exchange(resident_, std::nullopt);
+  bool keep = functional && (!dram_ || dram_->armed_faults() == 0);
+  const std::uint64_t fingerprint =
+      keep ? WeightImageFingerprint(cm, model, weights) : 0;
+  const bool warm = keep && previous &&
+                    previous->fingerprint == fingerprint &&
+                    dram_->size_words() == dram_words &&
+                    dram_->words_read() == previous->words_read &&
+                    dram_->words_written() == previous->words_written;
+  if (warm) {
+    dram_->ResetKeepingPrefix(cm.fmap_base);
+  } else if (!dram_) {
     dram_ = std::make_unique<DramModel>(dram_words);
   } else {
     dram_->Reset(dram_words);
   }
 
   if (functional) {
-    WriteWeightImages(cm, model, weights, *dram_);
+    if (!warm) {
+      WriteWeightImages(cm, model, weights, *dram_);
+      keep = keep && WeightImagesTile(cm, model);
+    }
     const LayerPlan& first = cm.plans.front();
     HDNN_CHECK(input.shape() == Shape({first.in_shape.channels,
                                        first.in_shape.height,
@@ -153,6 +253,10 @@ RunReport Runtime::Execute(const Model& model, const CompiledModel& cm,
             std::to_string(save_tag) +
             " (DRAM corruption in the at-rest window; retry the inference)");
       }
+    }
+    if (keep) {
+      resident_ = Residency{fingerprint, dram_->words_read(),
+                            dram_->words_written()};
     }
   }
   return report;

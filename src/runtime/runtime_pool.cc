@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "common/math_util.h"
+
 namespace hdnn {
 
 std::uint64_t AccelConfigHashValue(const AccelConfig& cfg) {

@@ -6,9 +6,10 @@
 // fixed runtimes_ array: concurrent ExecuteBatch callers and serving worker
 // loops each check out their own share-nothing Runtime, so they overlap
 // instead of serializing on the engine. Runtime reuse is bit- and
-// cycle-invisible (DramModel::Reset + per-run Accelerator state reset, see
-// DESIGN.md Sec. 4), so which physical Runtime a request lands on never
-// affects results.
+// cycle-invisible (DramModel::Reset or the fingerprint-checked resident
+// weight image, plus per-run Accelerator state reset, see DESIGN.md
+// Sec. 4), so which physical Runtime a request lands on never affects
+// results.
 #ifndef HDNN_RUNTIME_RUNTIME_POOL_H_
 #define HDNN_RUNTIME_RUNTIME_POOL_H_
 
@@ -22,15 +23,6 @@
 #include "runtime/runtime.h"
 
 namespace hdnn {
-
-/// One FNV-1a step: folds the 8 bytes of `v` into `h`. The runtime's
-/// hashes (config, model structure, compile-cache key) all use it.
-inline void HashMix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ull;
-  }
-}
 
 /// FNV-1a fingerprint of every AccelConfig field. The sizeof tripwire in
 /// test_engine's cache-key audit guards this list.

@@ -12,9 +12,13 @@
 #include "common/math_util.h"
 #include "common/prng.h"
 #include "common/types.h"
+#include "testing_util.h"
 
 namespace hdnn {
 namespace {
+
+using ::hdnn::testing::GetField;
+using ::hdnn::testing::SetField;
 
 TEST(CheckTest, PassingCheckDoesNothing) {
   EXPECT_NO_THROW(HDNN_CHECK(1 + 1 == 2) << "unused");

@@ -31,6 +31,7 @@ namespace hdnn {
 namespace {
 
 using ::hdnn::testing::RunEndToEnd;
+using ::hdnn::testing::SetField;
 using ::hdnn::testing::TestConfig;
 using ::hdnn::testing::TestSpec;
 

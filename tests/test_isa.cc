@@ -10,9 +10,12 @@
 #include "isa/codec.h"
 #include "nn/builders.h"
 #include "platform/fpga_spec.h"
+#include "testing_util.h"
 
 namespace hdnn {
 namespace {
+
+using ::hdnn::testing::SetField;
 
 LoadFields SampleLoad(Prng& prng, Opcode op) {
   LoadFields f;

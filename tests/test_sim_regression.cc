@@ -8,7 +8,10 @@
 // the captured constants still catch it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "nn/builders.h"
 #include "tests/testing_util.h"
@@ -239,6 +242,54 @@ TEST(RuntimeReuseTest, TimingOnlyRunBetweenFunctionalRunsIsInvisible) {
   EXPECT_EQ(later.stats.total_cycles, first.stats.total_cycles);
   EXPECT_EQ(runtime.dram()->words_read(), read);
   EXPECT_EQ(runtime.dram()->words_written(), written);
+}
+
+// A counted host write through dram() between two runs (here: into the
+// resident weight image) must force the next run to re-pack.
+TEST(RuntimeReuseTest, HostWriteThroughDramForcesRepack) {
+  const Model m = MixedModel();
+  const AccelConfig cfg = TestConfig(4);
+  const FpgaSpec spec = TestSpec();
+  const CompiledModel cm = Compiler(cfg, spec).Compile(m, MixedMapping());
+  const ModelWeightsQ weights = SyntheticWeights(m, 11);
+  const Tensor<std::int16_t> input =
+      ::hdnn::testing::MakeInput(m.InputOf(0), 12);
+
+  Runtime runtime(cfg, spec);
+  const RunReport first = runtime.Execute(m, cm, weights, input);
+  for (std::int64_t a = 0; a < cm.fmap_base; ++a) {
+    runtime.dram()->Write(a, 77);
+  }
+  const RunReport again = runtime.Execute(m, cm, weights, input);
+  EXPECT_EQ(again.output, first.output);
+}
+
+TEST(DramModelResetTest, ResetKeepingPrefixEqualsResetPlusRewrite) {
+  std::vector<std::int16_t> contents(64);
+  for (std::size_t i = 0; i < contents.size(); ++i) {
+    contents[i] = static_cast<std::int16_t>(i + 1);
+  }
+  DramModel warm(64);
+  DramModel cold(64);
+  for (DramModel* d : {&warm, &cold}) {
+    d->WriteBlock(0, contents);
+    d->Read(40);
+    d->Allocate(8);
+  }
+  cold.Reset(64);
+  cold.WriteBlock(0, std::span<const std::int16_t>(contents).first(16));
+  warm.ResetKeepingPrefix(16);
+  EXPECT_TRUE(std::ranges::equal(warm.ViewRun(0, 64), cold.ViewRun(0, 64)));
+  EXPECT_EQ(warm.ViewRun(15, 2)[0], 16);
+  EXPECT_EQ(warm.ViewRun(15, 2)[1], 0);
+  EXPECT_EQ(warm.words_read(), cold.words_read());
+  EXPECT_EQ(warm.words_written(), cold.words_written());
+  EXPECT_EQ(warm.allocated_words(), 0);
+
+  EXPECT_THROW(warm.ResetKeepingPrefix(65), Error);
+  warm.ArmFault({/*after_total_words=*/1, /*addr=*/0, /*xor_mask=*/1});
+  EXPECT_THROW(warm.ResetKeepingPrefix(16), Error)
+      << "a warm re-stage cannot replay an armed fault";
 }
 
 TEST(DramModelResetTest, ResetZeroesAndResizesReusingStorage) {

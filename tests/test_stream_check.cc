@@ -2,6 +2,9 @@
 // deliberately corrupted programs must be flagged.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "compiler/stream_check.h"
 #include "dse/search.h"
 #include "nn/builders.h"
@@ -113,6 +116,56 @@ TEST(StreamCheckTest, DetectsDramOverrun) {
   }
   const auto report = CheckInstructionStream(cm);
   EXPECT_FALSE(report.ok());
+}
+
+// The weight/bias images below fmap_base are read-only to the device: a
+// SAVE (plain, keep-resident or residual) aimed there is a located
+// violation.
+TEST(StreamCheckTest, DetectsSaveIntoWeightImage) {
+  for (const bool keep_resident : {false, true}) {
+    for (const bool res_add : {false, true}) {
+      CompiledModel cm = CompileTiny(ConvMode::kSpatial,
+                                     Dataflow::kInputStationary);
+      ASSERT_GT(cm.fmap_base, 0);
+      int index = -1;
+      for (std::size_t i = 0; i < cm.program.size(); ++i) {
+        if (PeekOpcode(cm.program[i]) != Opcode::kSave) continue;
+        auto f = std::get<SaveFields>(Decode(cm.program[i]));
+        f.dram_base = static_cast<std::uint32_t>(cm.fmap_base - 1);
+        f.keep_resident = keep_resident;
+        if (res_add) {
+          f.res_add = true;
+          f.pool = 1;
+          f.res_dram_base = static_cast<std::uint32_t>(cm.fmap_base);
+        }
+        cm.program[i] = Encode(f);
+        index = static_cast<int>(i);
+        break;
+      }
+      ASSERT_GE(index, 0);
+      const auto report = CheckInstructionStream(cm);
+      const std::string expected = "instr " + std::to_string(index) +
+                                   ": SAVE writes the read-only weight image";
+      EXPECT_TRUE(std::any_of(report.violations.begin(),
+                              report.violations.end(),
+                              [&](const std::string& v) {
+                                return v.rfind(expected, 0) == 0;
+                              }))
+          << "keep_resident " << keep_resident << " res_add " << res_add;
+      EXPECT_THROW(RequireValidStream(cm), InternalError);
+    }
+  }
+}
+
+// With no weight image (fmap_base == 0) every SAVE address is an fmap
+// address; the read-only rule flags nothing.
+TEST(StreamCheckTest, ZeroFmapBaseHasNoReadOnlyRegion) {
+  CompiledModel cm = CompileTiny(ConvMode::kSpatial,
+                                 Dataflow::kInputStationary);
+  cm.fmap_base = 0;
+  for (const std::string& v : CheckInstructionStream(cm).violations) {
+    EXPECT_EQ(v.find("read-only weight image"), std::string::npos) << v;
+  }
 }
 
 TEST(StreamCheckTest, DetectsMissingEnd) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "common/check.h"
 #include "common/fixed_point.h"
@@ -85,6 +86,48 @@ TEST(TensorTest, PaddedAtReturnsZeroOutside) {
 TEST(TensorTest, WrongRankAccessThrows) {
   Tensor<int> t(Shape{2, 2});
   EXPECT_THROW(t.at(0, 0, 0), InvalidArgument);
+}
+
+// Every accessor maps to the row-major flat index of its coordinate, and
+// keeps its rank and per-dim bounds checks (with the failing dim named).
+TEST(TensorTest, AccessorsMatchRowMajorFlatIndexAndCheckEveryDim) {
+  Tensor<int> t(Shape{2, 3, 4, 5});
+  int n = 0;
+  for (int k = 0; k < 2; ++k) {
+    for (int c = 0; c < 3; ++c) {
+      for (int r = 0; r < 4; ++r) {
+        for (int s = 0; s < 5; ++s) EXPECT_EQ(&t.at(k, c, r, s), &t.flat(n++));
+      }
+    }
+  }
+  const auto message = [](const auto& access) {
+    try {
+      access();
+    } catch (const InvalidArgument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  for (int dim = 0; dim < 4; ++dim) {
+    std::int64_t coord[4] = {0, 0, 0, 0};
+    coord[dim] = t.shape().dim(dim);
+    EXPECT_NE(message([&] { t.at(coord[0], coord[1], coord[2], coord[3]); })
+                  .find("out of bounds for dim " + std::to_string(dim)),
+              std::string::npos);
+    coord[dim] = -1;
+    EXPECT_NE(message([&] { t.at(coord[0], coord[1], coord[2], coord[3]); })
+                  .find("coordinate -1 out of bounds"),
+              std::string::npos);
+  }
+  EXPECT_NE(message([&] { t.at(0, 0, 0); })
+                .find("rank-3 access on [2, 3, 4, 5]"),
+            std::string::npos);
+  EXPECT_NE(message([&] { t.at(0, 0); }).find("rank-2 access"),
+            std::string::npos);
+  const Tensor<int> m(Shape{3, 4});
+  EXPECT_EQ(&m.at(2, 3), &m.flat(11));
+  EXPECT_NE(message([&] { m.at(0, 4); }).find("out of bounds for dim 1"),
+            std::string::npos);
 }
 
 TEST(TensorTest, DataSizeMismatchThrows) {

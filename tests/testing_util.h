@@ -1,12 +1,15 @@
-// Shared helpers for HybridDNN tests: golden end-to-end execution of a model
-// through the compiler + simulator, compared layer-by-layer against the
-// refconv / winograd golden libraries.
+// Shared helpers for HybridDNN tests: bit-field access to 128-bit
+// instruction words, and golden end-to-end execution of a model through the
+// compiler + simulator, compared layer-by-layer against the refconv /
+// winograd golden libraries.
 #ifndef HDNN_TESTS_TESTING_UTIL_H_
 #define HDNN_TESTS_TESTING_UTIL_H_
 
 #include <cstdint>
 #include <vector>
 
+#include "common/bits.h"
+#include "common/check.h"
 #include "common/prng.h"
 #include "compiler/compiler.h"
 #include "compiler/weight_pack.h"
@@ -20,6 +23,53 @@
 #include "winograd/wino_conv.h"
 
 namespace hdnn::testing {
+
+// --- Bit fields of a 128-bit word (flat bit index space, see Word128) ---
+//
+// The codec packs fields through its own row tables; tests use these to
+// poke or read arbitrary bits of an encoded instruction.
+
+/// True iff `value` fits in an unsigned field of `width` bits.
+constexpr bool FitsUnsigned(std::uint64_t value, int width) {
+  return width >= 64 || value <= LowMask(width);
+}
+
+/// Writes `value` into bits [pos, pos+width) of `w`. The field must fit in
+/// the word, value must fit in the field and width must be in [1, 64].
+inline void SetField(Word128& w, int pos, int width, std::uint64_t value) {
+  HDNN_CHECK(width >= 1 && width <= 64) << "field width " << width;
+  HDNN_CHECK(pos >= 0 && pos + width <= 128)
+      << "field [" << pos << ", " << pos + width << ") exceeds 128 bits";
+  HDNN_CHECK(FitsUnsigned(value, width))
+      << "value " << value << " does not fit in " << width << " bits";
+  auto write_half = [](std::uint64_t& half, int p, int wd,
+                       std::uint64_t val) {
+    const std::uint64_t mask = LowMask(wd) << p;
+    half = (half & ~mask) | ((val << p) & mask);
+  };
+  if (pos + width <= 64) {
+    write_half(w.lo, pos, width, value);
+  } else if (pos >= 64) {
+    write_half(w.hi, pos - 64, width, value);
+  } else {
+    const int lo_bits = 64 - pos;
+    write_half(w.lo, pos, lo_bits, value & LowMask(lo_bits));
+    write_half(w.hi, 0, width - lo_bits, value >> lo_bits);
+  }
+}
+
+/// Reads bits [pos, pos+width) of `w` as an unsigned value.
+inline std::uint64_t GetField(const Word128& w, int pos, int width) {
+  HDNN_CHECK(width >= 1 && width <= 64) << "field width " << width;
+  HDNN_CHECK(pos >= 0 && pos + width <= 128)
+      << "field [" << pos << ", " << pos + width << ") exceeds 128 bits";
+  if (pos + width <= 64) return (w.lo >> pos) & LowMask(width);
+  if (pos >= 64) return (w.hi >> (pos - 64)) & LowMask(width);
+  const int lo_bits = 64 - pos;
+  const std::uint64_t low = w.lo >> pos;
+  const std::uint64_t high = w.hi & LowMask(width - lo_bits);
+  return low | (high << lo_bits);
+}
 
 /// A small test platform: single die, modest but sufficient resources,
 /// generous bandwidth so functional tests are not scheduling-fragile.
